@@ -1,43 +1,61 @@
 """metaprop: associative-network construction, particle-based metadata
-propagation, and an atrophy/recover evaluation harness."""
+propagation, and an atrophy/recover evaluation harness.
 
-from .records import Repository, ResourceRecord, ingest, load_repository, make_record, meta, save_repository
-from .netbuild import (
-    AssociativeNetwork,
-    Relation,
-    build_cooccurrence,
-    build_occurrence,
-    load_network,
-    normalize,
-    parse_relation,
-    save_network,
-)
-from .swarm import (
-    Particle,
-    PropagationConfig,
-    PropagationResult,
-    RecommendationStore,
-    choose_next,
-    decay,
-    init_particles,
-    load_store,
-    propagate,
-    recommend_meta,
-    save_store,
-)
-from .evalharness import (
-    AtrophyOutcome,
-    ExperimentConfig,
-    ExperimentResult,
-    MetricsRow,
-    accept_meta,
-    f_score,
-    kill_meta,
-    load_results,
-    precision,
-    recall,
-    run_experiment,
-    save_results,
-)
+The names below are re-exported from their submodules on first access
+(PEP 562), so ``import metaprop.records`` does not load numpy or scipy;
+the network modules pay that import when first used.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+_EXPORTS = {
+    "Repository": "records",
+    "ResourceRecord": "records",
+    "ingest": "records",
+    "load_repository": "records",
+    "make_record": "records",
+    "meta": "records",
+    "save_repository": "records",
+    "AssociativeNetwork": "netbuild",
+    "Relation": "netbuild",
+    "build_cooccurrence": "netbuild",
+    "build_occurrence": "netbuild",
+    "load_network": "netbuild",
+    "normalize": "netbuild",
+    "parse_relation": "netbuild",
+    "save_network": "netbuild",
+    "Particle": "swarm",
+    "PropagationConfig": "swarm",
+    "PropagationResult": "swarm",
+    "RecommendationStore": "swarm",
+    "choose_next": "swarm",
+    "decay": "swarm",
+    "init_particles": "swarm",
+    "load_store": "swarm",
+    "propagate": "swarm",
+    "recommend_meta": "swarm",
+    "save_store": "swarm",
+    "AtrophyOutcome": "evalharness",
+    "ExperimentConfig": "evalharness",
+    "ExperimentResult": "evalharness",
+    "MetricsRow": "evalharness",
+    "accept_meta": "evalharness",
+    "f_score": "evalharness",
+    "kill_meta": "evalharness",
+    "load_results": "evalharness",
+    "precision": "evalharness",
+    "recall": "evalharness",
+    "run_experiment": "evalharness",
+    "save_results": "evalharness",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -9,14 +9,21 @@ share property values, weighted by overlap:
 
 Outgoing weights can be normalized into per-node probability distributions
 for the particle walk.
+
+A network is held in compressed sparse row (CSR) form over the sorted node
+ids: three numpy arrays give each row's start offset, the destination node
+numbers and the weights.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter, defaultdict
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import count, repeat
+from typing import Dict, Iterable, Optional, Tuple
+
+import numpy as np
+import scipy.sparse
 
 from .records import Repository
 
@@ -77,73 +84,151 @@ def parse_relation(label: str) -> Relation:
     return Relation(OCCURRENCE, label)
 
 
+def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's running weight sum, accumulated left to right as the
+    scalar loop ``acc += w`` does (``np.cumsum`` is sequential; ``np.sum``
+    is pairwise and may round differently)."""
+    cum = np.empty_like(weights)
+    bounds = indptr.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo < hi:
+            np.cumsum(weights[lo:hi], out=cum[lo:hi])
+    return cum
+
+
 class AssociativeNetwork:
-    """Directed weighted graph over resource ids, immutable once built."""
+    """Directed weighted graph over resource ids, immutable once built.
+
+    ``ids`` are the node ids in sorted order; node i's out-edges are
+    ``indices[indptr[i]:indptr[i + 1]]`` (ascending node numbers, so in
+    destination-id order) with ``weights`` at the same positions.  A
+    normalized network also holds ``cum``, each row's running weight sum,
+    which the walk bisects to sample a destination.
+    """
 
     def __init__(
         self,
         relation: Relation,
-        nodes: Iterable[str],
-        adjacency: Dict[str, Dict[str, float]],
+        ids: Iterable[str],
+        indptr,
+        indices,
+        weights,
         normalized: bool = False,
         dangling: int = 0,
     ):
         self.relation = relation
-        self.nodes = frozenset(nodes)
-        self._adj = {src: dict(dsts) for src, dsts in adjacency.items() if dsts}
+        self.ids: Tuple[str, ...] = tuple(ids)
+        self.index: Dict[str, int] = {node: i for i, node in enumerate(self.ids)}
+        self.nodes = frozenset(self.ids)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.weights = np.asarray(weights, dtype=np.float64)
         self.normalized = normalized
         self.dangling = dangling
-        self._sorted_out: Dict[str, Tuple[Tuple[str, float], ...]] = {}
-        for src, dsts in self._adj.items():
-            if src not in self.nodes:
-                raise ValueError(f"edge source {src!r} not in node set")
-            for dst, w in dsts.items():
-                if dst == src:
-                    raise ValueError(f"self-loop on {src!r}")
-                if dst not in self.nodes:
-                    raise ValueError(f"edge target {dst!r} not in node set")
-                if not w > 0.0:
-                    raise ValueError(f"non-positive weight on ({src!r}, {dst!r})")
+        self._check()
+        self.cum = _row_cumsum(self.indptr, self.weights) if normalized else None
+        for column in (self.indptr, self.indices, self.weights, self.cum):
+            if column is not None:
+                column.flags.writeable = False
+
+    def _check(self) -> None:
+        ids, indptr, indices, weights = self.ids, self.indptr, self.indices, self.weights
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("node ids must be sorted and distinct")
+        if (
+            indptr.shape != (len(ids) + 1,)
+            or indptr[0] != 0
+            or indptr[-1] != len(indices)
+            or weights.shape != indices.shape
+            or np.any(np.diff(indptr) < 0)
+        ):
+            raise ValueError("malformed CSR arrays")
+        if len(indices) and (indices.min() < 0 or indices.max() >= len(ids)):
+            raise ValueError("edge target not in node set")
+        src = self._sources()
+        for bad, what in (
+            (indices == src, "self-loop on"),
+            (~(weights > 0.0), "non-positive weight on"),
+        ):
+            hit = np.flatnonzero(bad)
+            if hit.size:
+                k = hit[0]
+                raise ValueError(f"{what} ({ids[src[k]]!r}, {ids[indices[k]]!r})")
+        step = np.diff(indices)
+        same_row = src[1:] == src[:-1]
+        hit = np.flatnonzero(same_row & (step <= 0))
+        if hit.size:
+            k = hit[0] + 1
+            what = "duplicate edge" if step[k - 1] == 0 else "unsorted row at"
+            raise ValueError(f"{what} ({ids[src[k]]!r}, {ids[indices[k]]!r})")
+
+    def _sources(self) -> np.ndarray:
+        """The source node number of every edge, aligned with ``indices``."""
+        return np.repeat(np.arange(len(self.ids), dtype=np.int32), np.diff(self.indptr))
+
+    def _row(self, node: str) -> Tuple[int, int]:
+        i = self.index.get(node)
+        if i is None:
+            return 0, 0
+        return int(self.indptr[i]), int(self.indptr[i + 1])
 
     def out_edges(self, node: str) -> Tuple[Tuple[str, float], ...]:
-        """Outgoing (dst, weight) pairs sorted by destination id."""
-        cached = self._sorted_out.get(node)
-        if cached is None:
-            cached = tuple(sorted(self._adj.get(node, {}).items()))
-            self._sorted_out[node] = cached
-        return cached
+        """Outgoing (dst, weight) pairs sorted by destination id, built on
+        each call from the arrays."""
+        lo, hi = self._row(node)
+        ids = self.ids
+        return tuple(
+            (ids[d], w) for d, w in zip(self.indices[lo:hi].tolist(), self.weights[lo:hi].tolist())
+        )
 
     def weight(self, src: str, dst: str) -> Optional[float]:
-        return self._adj.get(src, {}).get(dst)
+        j = self.index.get(dst)
+        if j is None:
+            return None
+        lo, hi = self._row(src)
+        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
+        if k < hi and self.indices[k] == j:
+            return float(self.weights[k])
+        return None
 
     def edges(self):
         """All (src, dst, weight) triples in sorted order."""
-        for src in sorted(self._adj):
-            for dst in sorted(self._adj[src]):
-                yield src, dst, self._adj[src][dst]
+        ids, bounds = self.ids, self.indptr.tolist()
+        for i, src in enumerate(ids):
+            lo, hi = bounds[i], bounds[i + 1]
+            for d, w in zip(self.indices[lo:hi].tolist(), self.weights[lo:hi].tolist()):
+                yield src, ids[d], w
 
     @property
     def edge_count(self) -> int:
-        return sum(len(d) for d in self._adj.values())
+        return len(self.indices)
 
     @property
     def pair_count(self) -> int:
         """Number of unordered node pairs joined by at least one edge."""
-        pairs = set()
-        for src, dsts in self._adj.items():
-            for dst in dsts:
-                pairs.add((src, dst) if src < dst else (dst, src))
-        return len(pairs)
+        src = self._sources().astype(np.int64)
+        dst = self.indices.astype(np.int64)
+        keys = np.sort(np.minimum(src, dst) * len(self.ids) + np.maximum(src, dst))
+        return int(np.count_nonzero(np.diff(keys))) + 1 if len(keys) else 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AssociativeNetwork):
             return NotImplemented
         return (
             self.relation == other.relation
-            and self.nodes == other.nodes
-            and self._adj == other._adj
+            and self.ids == other.ids
             and self.normalized == other.normalized
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.weights, other.weights)
         )
+
+
+def _indptr(src: np.ndarray, n: int) -> np.ndarray:
+    """Row offsets for edges whose (sorted) source node numbers are ``src``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr
 
 
 def build_occurrence(repo: Repository, mu: str) -> AssociativeNetwork:
@@ -153,79 +238,88 @@ def build_occurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     dropped; references to unknown ids are dropped but tallied in
     ``dangling``.
     """
-    adj: Dict[str, Dict[str, float]] = {}
+    ids = repo.ids()
+    index = {rid: i for i, rid in enumerate(ids)}
+    indptr = [0]
+    indices = array("i")
+    weights = array("d")
     dangling = 0
-    for rec in repo:
+    for rec in repo:  # sorted by id, so rows come out in node order
         vals = rec.values(mu)
-        if not vals:
-            continue
-        w = 1.0 / len(vals)
-        out: Dict[str, float] = {}
-        for target in sorted(vals):
-            if target == rec.id:
-                continue
-            if target in repo:
-                out[target] = w
-            else:
-                dangling += 1
-        if out:
-            adj[rec.id] = out
-    return AssociativeNetwork(Relation(OCCURRENCE, mu), repo.ids(), adj, dangling=dangling)
+        if vals:
+            w = 1.0 / len(vals)
+            for target in sorted(vals):
+                if target == rec.id:
+                    continue
+                j = index.get(target)
+                if j is None:
+                    dangling += 1
+                else:
+                    indices.append(j)
+                    weights.append(w)
+        indptr.append(len(indices))
+    return AssociativeNetwork(
+        Relation(OCCURRENCE, mu), ids, indptr, indices, weights, dangling=dangling
+    )
 
 
 def build_cooccurrence(
     repo: Repository, mu: str, max_postings: Optional[int] = None
 ) -> AssociativeNetwork:
-    """Symmetric network of shared property values, via an inverted index.
+    """Symmetric network of shared property values, as S = B·Bᵀ over the
+    node x value incidence matrix B.
 
     Equivalent to the brute-force all-pairs definition: for every pair with a
     nonempty value intersection of size c, both directed edges get weight
-    c / (|values_i| + |values_j| - c).  ``max_postings`` optionally skips
-    values held by more than that many resources (off by default; results
-    are exact when off).
+    c / (|values_i| + |values_j| - c), from exact integer counts.
+    ``max_postings`` optionally skips values held by more than that many
+    resources (off by default; results are exact when off).
     """
-    postings: Dict[str, List[str]] = defaultdict(list)
-    sizes: Dict[str, int] = {}
-    for rec in repo:  # iteration is sorted by id, so postings come out sorted
-        vals = rec.values(mu)
-        if not vals:
-            continue
-        sizes[rec.id] = len(vals)
-        for v in vals:
-            postings[v].append(rec.id)
-    shared: Counter = Counter()
-    for v in postings:
-        ids = postings[v]
-        if max_postings is not None and len(ids) > max_postings:
-            continue
-        for pair in itertools.combinations(ids, 2):
-            shared[pair] += 1
-    adj: Dict[str, Dict[str, float]] = defaultdict(dict)
-    for (i, j), co in shared.items():
-        w = co / (sizes[i] + sizes[j] - co)
-        adj[i][j] = w
-        adj[j][i] = w
-    return AssociativeNetwork(Relation(COOCCURRENCE, mu), repo.ids(), adj)
+    ids = repo.ids()
+    n = len(ids)
+    value_ids: Dict[str, int] = {}
+    rows, cols = array("i"), array("i")
+    for i, rec in enumerate(repo):
+        for v in rec.values(mu):
+            rows.append(i)
+            cols.append(value_ids.setdefault(v, len(value_ids)))
+    rows = np.frombuffer(rows, dtype=np.int32)
+    cols = np.frombuffer(cols, dtype=np.int32)
+    sizes = np.bincount(rows, minlength=n).astype(np.int64)
+    if max_postings is not None:
+        kept = np.bincount(cols)[cols] <= max_postings
+        rows, cols = rows[kept], cols[kept]
+    incidence = scipy.sparse.csr_matrix(
+        (np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, len(value_ids))
+    )
+    shared = incidence @ incidence.T
+    shared.sort_indices()
+    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(shared.indptr))
+    off_diagonal = shared.indices != src
+    src = src[off_diagonal]
+    dst = shared.indices[off_diagonal]
+    co = shared.data[off_diagonal].astype(np.int64)
+    weights = co / (sizes[src] + sizes[dst] - co)
+    return AssociativeNetwork(Relation(COOCCURRENCE, mu), ids, _indptr(src, n), dst, weights)
 
 
 def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     """Scale each node's outgoing weights into a probability distribution.
 
-    Nodes without outgoing edges are unchanged.  Normalizing an already
-    normalized network is an error.
+    Each row is divided by its total, summed in destination order.  Nodes
+    without outgoing edges are unchanged.  Normalizing an already normalized
+    network is an error.
     """
     if net.normalized:
         raise AlreadyNormalizedError(f"network {net.relation.label!r} is already normalized")
-    adj: Dict[str, Dict[str, float]] = {}
-    for src in sorted(net.nodes):
-        out = net.out_edges(src)
-        if not out:
-            continue
-        total = 0.0
-        for _, w in out:
-            total += w
-        adj[src] = {dst: w / total for dst, w in out}
-    return AssociativeNetwork(net.relation, net.nodes, adj, normalized=True, dangling=net.dangling)
+    degree = np.diff(net.indptr)
+    nonempty = degree > 0
+    totals = _row_cumsum(net.indptr, net.weights)[net.indptr[1:][nonempty] - 1]
+    weights = net.weights / np.repeat(totals, degree[nonempty])
+    return AssociativeNetwork(
+        net.relation, net.ids, net.indptr, net.indices, weights,
+        normalized=True, dangling=net.dangling,
+    )
 
 
 def save_network(net: AssociativeNetwork, destination) -> None:
@@ -236,22 +330,73 @@ def save_network(net: AssociativeNetwork, destination) -> None:
     ``src\\tdst\\tweight`` with the weight in C99 hex-float form so round
     trips are bit-exact.
     """
-    touched = set()
-    for src, dst, _ in net.edges():
-        touched.add(src)
-        touched.add(dst)
+    touched = np.zeros(len(net.ids), dtype=bool)
+    touched[np.diff(net.indptr) > 0] = True
+    touched[net.indices] = True
     with open(destination, "w", encoding="utf-8") as fh:
         fh.write(
-            f"{net.relation.label}\t{len(net.nodes)}\t{net.edge_count}\t"
+            f"{net.relation.label}\t{len(net.ids)}\t{net.edge_count}\t"
             f"{int(net.normalized)}\t{net.dangling}\n"
         )
-        for node in sorted(net.nodes - touched):
-            fh.write(node + "\n")
+        for i in np.flatnonzero(~touched).tolist():
+            fh.write(net.ids[i] + "\n")
         for src, dst, w in net.edges():
             fh.write(f"{src}\t{dst}\t{w.hex()}\n")
 
 
+def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
+    """Parse the body of a network file into compact buffers: node ids with
+    provisional numbers (to be renumbered by sorted id), and each edge's
+    source number, destination number and weight in flat typed arrays.
+
+    Lines are read in blocks, and a block's edge lines are split and
+    converted by C-level calls rather than a Python loop per line.
+    """
+    seen: Dict[str, int] = {}
+    srcs, dsts, weights = array("i"), array("i"), array("d")
+    line_no = 2
+    for lines in iter(lambda: fh.readlines(1 << 20), []):
+        tabs = list(map(str.count, lines, repeat("\t")))
+        edge_rows = range(len(lines))
+        if tabs.count(2) != len(lines):  # isolated nodes, blank or bad lines
+            edge_rows = []
+            for k, n_tabs in enumerate(tabs):
+                if n_tabs == 2:
+                    edge_rows.append(k)
+                elif n_tabs == 0:
+                    node = lines[k].rstrip("\n")
+                    if node:
+                        seen.setdefault(node, len(seen))
+                else:
+                    raise NetworkFormatError(
+                        f"{source}:{line_no + k}", f"expected 1 or 3 fields, got {n_tabs + 1}"
+                    )
+        n = 3 * len(edge_rows)
+        fields = "".join([lines[k] for k in edge_rows]).replace("\n", "\t").split("\t")
+        src_names, dst_names, texts = fields[0:n:3], fields[1:n:3], fields[2:n:3]
+        new_names = set(src_names).union(dst_names).difference(seen)
+        seen.update(zip(new_names, count(len(seen))))
+        srcs.extend(map(seen.__getitem__, src_names))
+        dsts.extend(map(seen.__getitem__, dst_names))
+        try:
+            weights.extend(map(float.fromhex, texts))
+        except ValueError:
+            for k, text in zip(edge_rows, texts):
+                try:
+                    float.fromhex(text)
+                except ValueError as exc:
+                    raise NetworkFormatError(f"{source}:{line_no + k}", f"bad weight {text!r}") from exc
+        line_no += len(lines)
+    return seen, srcs, dsts, weights
+
+
 def load_network(source) -> AssociativeNetwork:
+    """Parse a network TSV written by ``save_network``.
+
+    Edge lines may come in any order.  Duplicate edges, counts that disagree
+    with the header, and a normalized flag on rows that do not sum to 1
+    (within 1e-9) raise NetworkFormatError.
+    """
     with open(source, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
@@ -271,34 +416,37 @@ def load_network(source) -> AssociativeNetwork:
             dangling = int(dangling_s)
         except ValueError as exc:
             raise NetworkFormatError(f"{source}:1", f"bad header counts: {exc}") from exc
-        nodes = set()
-        adj: Dict[str, Dict[str, float]] = defaultdict(dict)
-        n_edges = 0
-        for line_no, line in enumerate(fh, start=2):
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            parts = stripped.split("\t")
-            if len(parts) == 1:
-                nodes.add(parts[0])
-            elif len(parts) == 3:
-                src, dst, w_s = parts
-                try:
-                    w = float.fromhex(w_s)
-                except ValueError as exc:
-                    raise NetworkFormatError(f"{source}:{line_no}", f"bad weight {w_s!r}") from exc
-                nodes.add(src)
-                nodes.add(dst)
-                adj[src][dst] = w
-                n_edges += 1
-            else:
-                raise NetworkFormatError(
-                    f"{source}:{line_no}", f"expected 1 or 3 fields, got {len(parts)}"
-                )
-        if len(nodes) != node_count or n_edges != edge_count:
+        seen, srcs, dsts, weights = _read_body(fh, source)
+    if len(seen) != node_count or len(weights) != edge_count:
+        raise NetworkFormatError(
+            str(source),
+            f"truncated or corrupt file: header says {node_count} nodes/"
+            f"{edge_count} edges, found {len(seen)}/{len(weights)}",
+        )
+    ids = sorted(seen)
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[[seen[node] for node in ids]] = np.arange(len(ids), dtype=np.int32)
+    src = rank[np.frombuffer(srcs, dtype=np.int32)]
+    dst = rank[np.frombuffer(dsts, dtype=np.int32)]
+    # stable sort by (src, dst); near-linear on a file already in that order
+    order = np.argsort(src.astype(np.int64) * len(ids) + dst, kind="stable")
+    src, dst = src[order], dst[order]
+    try:
+        net = AssociativeNetwork(
+            relation, ids, _indptr(src, len(ids)), dst, np.frombuffer(weights)[order],
+            normalized=normalized, dangling=dangling,
+        )
+    except ValueError as exc:
+        raise NetworkFormatError(str(source), str(exc)) from exc
+    if normalized:
+        rows = np.flatnonzero(np.diff(net.indptr) > 0)
+        sums = net.cum[net.indptr[rows + 1] - 1]
+        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+        if bad.size:
+            k = bad[0]
             raise NetworkFormatError(
                 str(source),
-                f"truncated or corrupt file: header says {node_count} nodes/"
-                f"{edge_count} edges, found {len(nodes)}/{n_edges}",
+                f"header says normalized, but the out-weights of {ids[rows[k]]!r} "
+                f"sum to {float(sums[k])!r}",
             )
-        return AssociativeNetwork(relation, nodes, adj, normalized=normalized, dangling=dangling)
+    return net

@@ -182,19 +182,11 @@ def propagate(
     particles = init_particles(net, repo, cfg.seed)
     store = RecommendationStore()
     keep = 1.0 - cfg.delta
-    # per-node cumulative weight tables: bisect sampling that picks exactly
-    # the same destination as choose_next's linear scan, one draw per move
-    tables = {}
-    for node in net.nodes:
-        out = net.out_edges(node)
-        if out:
-            dsts = [d for d, _ in out]
-            cum = []
-            acc = 0.0
-            for _, w in out:
-                acc += w
-                cum.append(acc)
-            tables[node] = (dsts, cum)
+    # a move bisects the current node's row of the cumulative-weight column,
+    # which picks exactly the destination choose_next's linear scan would,
+    # from the same single draw; memoryviews hand bisect plain Python numbers
+    ids, index = net.ids, net.index
+    indptr, indices, cum = memoryview(net.indptr), memoryview(net.indices), memoryview(net.cum)
     active = particles
     t = 0
     while active and t < cfg.max_steps:
@@ -203,13 +195,13 @@ def propagate(
         t += 1
         still = []
         for p in active:  # sorted by home id: canonical accumulation order
-            table = tables.get(p.current)
-            if table is None:
+            row = index[p.current]
+            lo, hi = indptr[row], indptr[row + 1]
+            if lo == hi:
                 p.frozen = True
                 continue
-            dsts, cum = table
-            idx = bisect.bisect_right(cum, p.rng.random())
-            p.current = dsts[min(idx, len(dsts) - 1)]
+            idx = bisect.bisect_right(cum, p.rng.random(), lo, hi)
+            p.current = ids[indices[min(idx, hi - 1)]]
             p.energy *= keep
             if p.current != p.home:
                 recommend_meta(p.current, p, repo, store)

@@ -26,7 +26,7 @@ from metaprop.synthetic import random_repository
 
 def brute_force_cooccurrence(repo, mu):
     """O(N^2) reference for the co-occurrence definition: edge weights as a
-    dict {(src, dst): w}.  Kept independent of the inverted-index builder."""
+    dict {(src, dst): w}.  Kept independent of build_cooccurrence's sparse product."""
     weights = {}
     ids = repo.ids()
     for i, j in itertools.combinations(ids, 2):
@@ -139,6 +139,14 @@ class TestCooccurrence:
         assert build_cooccurrence(repo, "key").edge_count == 30
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_count_matches_set_of_pairs(seed):
+    # cite_rate 0.1 on 60 records gives mutual citations, counted once
+    repo = random_repository(60, cite_rate=0.1, seed=seed)
+    for net in (build_occurrence(repo, "cite"), build_cooccurrence(repo, "key")):
+        assert net.pair_count == len({frozenset((s, d)) for s, d, _ in net.edges()})
+
+
 class TestNormalize:
     def test_proportional_scaling(self):
         repo = Repository(
@@ -181,6 +189,24 @@ class TestNormalize:
         normed = normalize(build_occurrence(repo, "cite"))
         with pytest.raises(AlreadyNormalizedError):
             normalize(normed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_sequential_loop(self, seed):
+        # reference: the scalar loops the array code replaced, compared bit
+        # for bit, including the walk's cumulative column
+        repo = random_repository(60, vocab_size=10, cite_rate=0.1, seed=seed)
+        for net in (build_cooccurrence(repo, "key"), build_occurrence(repo, "cite")):
+            normed = normalize(net)
+            cum = iter(normed.cum.tolist())
+            for node in sorted(net.nodes):
+                raw = net.out_edges(node)
+                total = 0.0
+                for _, w in raw:
+                    total += w
+                acc = 0.0
+                for (dst, w), (ndst, nw) in zip(raw, normed.out_edges(node)):
+                    acc += w / total
+                    assert (ndst, nw, next(cum)) == (dst, w / total, acc)
 
     def test_ratios_preserved(self):
         repo = random_repository(25, seed=5)
@@ -235,6 +261,48 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(NetworkFormatError, match="corrupt"):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda edges: edges + edges[:1], "duplicate edge"),
+            (lambda edges: edges + ["ni\tni\t0x1.0p-1"], "self-loop"),
+            (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t-0x1.0p-1"] + edges[1:], "non-positive"),
+            (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tzz"] + edges[1:], ":2: bad weight 'zz'"),
+            (lambda edges: edges + ["ni\tnj"], ":4: expected 1 or 3 fields, got 2"),
+        ],
+        ids=["duplicate", "self-loop", "non-positive", "bad-weight", "two-fields"],
+    )
+    def test_bad_edge_lines_rejected(self, table1_repo, tmp_path, edit, message):
+        # the header's edge count is kept in step, so only the edit is wrong
+        path = tmp_path / "net.tsv"
+        save_network(build_cooccurrence(table1_repo, "key"), path)
+        header, *edges = path.read_text().splitlines()
+        edges = edit(edges)
+        fields = header.split("\t")
+        fields[2] = str(len(edges))
+        path.write_text("\n".join(["\t".join(fields)] + edges) + "\n")
+        with pytest.raises(NetworkFormatError, match=message):
+            load_network(path)
+
+    def test_normalized_flag_checked_against_row_sums(self, tmp_path):
+        repo = Repository(
+            [
+                make_record("a", {"key": ["p", "q"]}),
+                make_record("b", {"key": ["p", "q"]}),
+                make_record("c", {"key": ["p"]}),
+            ]
+        )
+        path = tmp_path / "net.tsv"
+        save_network(normalize(build_cooccurrence(repo, "key")), path)
+        assert load_network(path).normalized
+        # hand edit: a's weight to b goes from 2/3 to 1/2, so a's row sums to 5/6
+        text = path.read_text()
+        edited = text.replace(f"a\tb\t{(1.0 / 1.5).hex()}\n", f"a\tb\t{0.5.hex()}\n")
+        assert edited != text
+        path.write_text(edited)
+        with pytest.raises(NetworkFormatError, match="normalized.*'a'"):
             load_network(path)
 
 
