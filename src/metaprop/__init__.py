@@ -14,7 +14,6 @@ _EXPORTS = {
     "ingest": "records",
     "load_repository": "records",
     "make_record": "records",
-    "meta": "records",
     "save_repository": "records",
     "AssociativeNetwork": "netbuild",
     "Relation": "netbuild",
@@ -24,16 +23,11 @@ _EXPORTS = {
     "normalize": "netbuild",
     "parse_relation": "netbuild",
     "save_network": "netbuild",
-    "Particle": "swarm",
     "PropagationConfig": "swarm",
     "PropagationResult": "swarm",
     "RecommendationStore": "swarm",
-    "choose_next": "swarm",
-    "decay": "swarm",
-    "init_particles": "swarm",
     "load_store": "swarm",
     "propagate": "swarm",
-    "recommend_meta": "swarm",
     "save_store": "swarm",
     "AtrophyOutcome": "evalharness",
     "ExperimentConfig": "evalharness",

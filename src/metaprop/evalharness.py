@@ -198,14 +198,15 @@ def _init_worker(networks, repo):
 
 
 def _job(args):
-    """Run one (mu_y, mu_x, density, run) job; failures become error markers
-    so a bad cell never takes down the whole grid."""
+    """Run one (mu_y, mu_x, density, run) job; a data error (ValueError)
+    becomes an error marker so a bad cell never takes down the whole grid,
+    while any other exception is a program bug and raises."""
     mu_y, mu_x, d_idx, run, density, percentiles, prop_cfg, seed = args
     net = _WORKER_STATE["networks"][mu_y]
     repo = _WORKER_STATE["repo"]
     try:
         value = _run_cell_once(net, repo, mu_x, density, percentiles, prop_cfg, seed)
-    except Exception as exc:
+    except ValueError as exc:
         return (mu_y, mu_x, d_idx, run), ("err", str(exc))
     return (mu_y, mu_x, d_idx, run), ("ok", value)
 
@@ -225,7 +226,7 @@ def run_experiment(
     for mu_y in cfg.network_relations:
         try:
             net = build_relation_network(repo, mu_y, max_postings=max_postings)
-        except Exception as exc:
+        except ValueError as exc:
             for mu_x in cfg.target_properties:
                 for density in cfg.densities:
                     errors.append(CellError(mu_y, mu_x, density, -1, f"network build failed: {exc}"))
@@ -308,7 +309,22 @@ def save_results(rows: Sequence[MetricsRow], destination) -> None:
             )
 
 
+_RESULTS_COLUMNS = RESULTS_HEADER.split("\t")
+
+
+def _number(kind, parts: List[str], i: int, where: str):
+    """Field ``i`` of a results line parsed by ``kind`` (int or float)."""
+    try:
+        return kind(parts[i])
+    except ValueError:
+        raise ValueError(
+            f"{where}: {_RESULTS_COLUMNS[i]} must be {kind.__name__}, got {parts[i]!r}"
+        ) from None
+
+
 def load_results(source) -> List[MetricsRow]:
+    """Read a results file; a numeric field that does not parse, or an
+    ``anomalous`` flag other than 0 or 1, raises ValueError at its line."""
     rows: List[MetricsRow] = []
     with open(source, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -318,22 +334,25 @@ def load_results(source) -> List[MetricsRow]:
             stripped = line.rstrip("\n")
             if not stripped:
                 continue
+            where = f"{source}:{line_no}"
             parts = stripped.split("\t")
             if len(parts) != 11:
-                raise ValueError(f"{source}:{line_no}: expected 11 fields, got {len(parts)}")
+                raise ValueError(f"{where}: expected 11 fields, got {len(parts)}")
+            if parts[9] not in ("0", "1"):
+                raise ValueError(f"{where}: anomalous must be 0 or 1, got {parts[9]!r}")
             rows.append(
                 MetricsRow(
                     mu_y=parts[0],
                     mu_x=parts[1],
-                    density=float(parts[2]),
-                    percentile=float(parts[3]),
-                    precision=float(parts[4]),
-                    recall=float(parts[5]),
-                    f_score=float(parts[6]),
-                    f_score_max=float(parts[10]),
-                    runs_averaged=int(parts[7]),
-                    nodes_scored=int(parts[8]),
-                    anomalous=bool(int(parts[9])),
+                    density=_number(float, parts, 2, where),
+                    percentile=_number(float, parts, 3, where),
+                    precision=_number(float, parts, 4, where),
+                    recall=_number(float, parts, 5, where),
+                    f_score=_number(float, parts, 6, where),
+                    f_score_max=_number(float, parts, 10, where),
+                    runs_averaged=_number(int, parts, 7, where),
+                    nodes_scored=_number(int, parts, 8, where),
+                    anomalous=parts[9] == "1",
                 )
             )
     return rows

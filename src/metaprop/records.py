@@ -125,10 +125,6 @@ class Repository:
         return sorted(types)
 
 
-def meta(repo: Repository, rid: str, mu: str) -> FrozenSet[str]:
-    return repo.meta(rid, mu)
-
-
 def ingest(lines: Iterable[str]) -> Repository:
     """Build a Repository from JSON-lines record text.
 

@@ -1,20 +1,23 @@
 """Discrete particle spreading activation over an associative network.
 
-Every node seeds one particle carrying a frozen copy of that node's full
-metadata and an energy that starts at 1.0 and shrinks by a factor (1 - delta)
-per traversed edge.  Each tick a particle moves to a neighbor sampled from
-the node's normalized outgoing weights, decays, and deposits its payload
-values (weighted by its current energy) at nodes whose own metadata for a
-property is empty.  Particles that hit a dead end freeze and never act again.
+``propagate`` is one loop.  Every node seeds one particle carrying its
+home's non-empty metadata and energy 1.0.  Each tick every live particle
+moves to a neighbor sampled from its node's normalized outgoing weights (one
+draw from the home's own RNG substream), its energy is multiplied by
+(1 - delta), and it deposits its payload values, weighted by that energy, at
+the new node for each property the node holds no values of.  All live
+particles share the energy (1 - delta)^t, so the loop keeps one scalar.
+Particles that hit a dead end freeze and never act again.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple
 
 from .netbuild import AssociativeNetwork
 from .records import Repository, UnknownResourceError
@@ -23,10 +26,6 @@ ENERGY_FORMAT = "%.12g"  # store dump rendering; in-memory energies stay exact
 
 
 class NotNormalizedError(ValueError):
-    pass
-
-
-class NoOutgoingEdgesError(ValueError):
     pass
 
 
@@ -54,16 +53,6 @@ class PropagationConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.energy_floor < 0.0:
             raise ValueError(f"energy_floor must be >= 0, got {self.energy_floor}")
-
-
-@dataclass
-class Particle:
-    home: str
-    current: str
-    energy: float
-    payload: Mapping[str, FrozenSet[str]]
-    frozen: bool = False
-    rng: random.Random = field(default=None, repr=False, compare=False)
 
 
 class RecommendationStore:
@@ -97,61 +86,6 @@ class RecommendationStore:
         return self._entries == other._entries
 
 
-def init_particles(net: AssociativeNetwork, repo: Repository, seed: int = 0) -> List[Particle]:
-    """One particle per network node, at home with energy 1.0 and a private
-    RNG substream derived from (seed, home id)."""
-    if not net.normalized:
-        raise NotNormalizedError("network must be normalized before propagation")
-    particles = []
-    for node in sorted(net.nodes):
-        if node not in repo:
-            raise UnknownResourceError(node)
-        payload = dict(repo.record(node).properties)
-        particles.append(
-            Particle(
-                home=node,
-                current=node,
-                energy=1.0,
-                payload=payload,
-                rng=random.Random(derive_seed(seed, node)),
-            )
-        )
-    return particles
-
-
-def choose_next(out_edges: Sequence[Tuple[str, float]], rng: random.Random) -> str:
-    """Sample a destination from (dst, weight) pairs; weights must form a
-    probability distribution.  Consumes exactly one draw from ``rng``."""
-    if not out_edges:
-        raise NoOutgoingEdgesError("no outgoing edges to sample from")
-    u = rng.random()
-    acc = 0.0
-    for dst, w in out_edges:
-        acc += w
-        if u < acc:
-            return dst
-    return out_edges[-1][0]  # guard against float slack in the cumulative sum
-
-
-def decay(energy: float, delta: float) -> float:
-    return (1.0 - delta) * energy
-
-
-def recommend_meta(
-    node: str, particle: Particle, repo: Repository, store: RecommendationStore
-) -> None:
-    """Deposit the particle's payload at ``node`` for every property type the
-    node itself lacks.  Never mutates the node's actual metadata."""
-    for mu in sorted(particle.payload):
-        values = particle.payload[mu]
-        if not values:
-            continue
-        if repo.meta(node, mu):
-            continue  # node is not metadata-poor at mu
-        for x in sorted(values):
-            store.add(node, mu, x, particle.energy)
-
-
 @dataclass
 class PropagationResult:
     store: RecommendationStore
@@ -173,45 +107,57 @@ def propagate(
     """Run synchronous ticks until max_steps or the summed energy of
     non-frozen particles drops to the floor.
 
-    Per tick, each non-frozen particle moves (or freezes at a dead end),
-    decays by (1 - delta), and recommends at its new node unless that node
-    is its home.  Deterministic for a fixed (network, repository, config).
+    Per tick, each non-frozen particle, in home-id order, moves (or freezes
+    at a dead end) and deposits at its new node unless that node is its
+    home.  Deterministic for a fixed (network, repository, config).
     """
     if not net.normalized:
         raise NotNormalizedError("network must be normalized before propagation")
-    particles = init_particles(net, repo, cfg.seed)
+    ids = net.ids  # sorted, so particle (and node) i is the i-th id
+    payloads, held, rngs = [], [], []
+    for node in ids:
+        if node not in repo:
+            raise UnknownResourceError(node)
+        props = repo.record(node).properties
+        payloads.append([(mu, sorted(props[mu])) for mu in sorted(props) if props[mu]])
+        held.append({mu for mu, values in props.items() if values})
+        rngs.append(random.Random(derive_seed(cfg.seed, node)))
     store = RecommendationStore()
     keep = 1.0 - cfg.delta
-    # a move bisects the current node's row of the cumulative-weight column,
-    # which picks exactly the destination choose_next's linear scan would,
-    # from the same single draw; memoryviews hand bisect plain Python numbers
-    ids, index = net.ids, net.index
+    # memoryviews hand bisect plain Python numbers
     indptr, indices, cum = memoryview(net.indptr), memoryview(net.indices), memoryview(net.cum)
-    active = particles
+    at = list(range(len(ids)))  # each particle's current node, by home
+    live = list(range(len(ids)))  # homes of the non-frozen particles, ascending
+    energy = 1.0
     t = 0
-    while active and t < cfg.max_steps:
-        if sum(p.energy for p in active) <= cfg.energy_floor:
+    while live and t < cfg.max_steps:
+        # a sequential sum: energy * len(live) may round differently
+        if sum([energy] * len(live)) <= cfg.energy_floor:
             break
         t += 1
+        energy *= keep
         still = []
-        for p in active:  # sorted by home id: canonical accumulation order
-            row = index[p.current]
-            lo, hi = indptr[row], indptr[row + 1]
+        for home in live:
+            lo, hi = indptr[at[home]], indptr[at[home] + 1]
             if lo == hi:
-                p.frozen = True
+                continue  # dead end: the particle freezes
+            # the first edge whose cumulative weight exceeds the draw; min()
+            # keeps a draw above a row total that falls short of 1.0 on the row
+            node = indices[min(bisect.bisect_right(cum, rngs[home].random(), lo, hi), hi - 1)]
+            at[home] = node
+            still.append(home)
+            if node == home:
                 continue
-            idx = bisect.bisect_right(cum, p.rng.random(), lo, hi)
-            p.current = ids[indices[min(idx, hi - 1)]]
-            p.energy *= keep
-            if p.current != p.home:
-                recommend_meta(p.current, p, repo, store)
-            still.append(p)
-        active = still
+            for mu, values in payloads[home]:
+                if mu not in held[node]:  # the node is metadata-poor at mu
+                    for x in values:
+                        store.add(ids[node], mu, x, energy)
+        live = still
     return PropagationResult(
         store=store,
         ticks=t,
-        frozen=sum(1 for p in particles if p.frozen),
-        residual_energy=sum(p.energy for p in active),
+        frozen=len(ids) - len(live),
+        residual_energy=sum([energy] * len(live)),
     )
 
 
@@ -224,15 +170,26 @@ def save_store(store: RecommendationStore, destination) -> None:
 
 
 def load_store(source) -> RecommendationStore:
+    """Read a store dump; a duplicate (node, property, value) line or an
+    energy that is not a finite number >= 0 raises ValueError at its line."""
     store = RecommendationStore()
     with open(source, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.rstrip("\n")
             if not stripped:
                 continue
+            where = f"{source}:{line_no}"
             parts = stripped.split("\t")
             if len(parts) != 4:
-                raise ValueError(f"{source}:{line_no}: expected 4 fields, got {len(parts)}")
+                raise ValueError(f"{where}: expected 4 fields, got {len(parts)}")
             node, mu, value, energy_s = parts
-            store.add(node, mu, value, float(energy_s))
+            try:
+                energy = float(energy_s)
+            except ValueError:
+                energy = math.nan
+            if not (math.isfinite(energy) and energy >= 0.0):
+                raise ValueError(f"{where}: energy must be a finite number >= 0, got {energy_s!r}")
+            if value in store.entry(node, mu):
+                raise ValueError(f"{where}: duplicate value {value!r} for ({node!r}, {mu!r})")
+            store.add(node, mu, value, energy)
     return store

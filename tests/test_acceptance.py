@@ -25,11 +25,11 @@ from metaprop.evalharness import (
 )
 from metaprop.netbuild import build_cooccurrence, build_occurrence, normalize
 from metaprop.records import Repository, load_repository, make_record
-from metaprop.swarm import PropagationConfig, RecommendationStore, decay, propagate
+from metaprop.swarm import PropagationConfig, RecommendationStore, propagate
 from metaprop.synthetic import random_repository, two_cluster_corpus
 
 
-def test_criterion_1_formula_fixtures(table1_repo):
+def test_criterion_1_formula_fixtures(table1_repo, chain_repo):
     net = build_cooccurrence(table1_repo, "key")
     assert net.weight("ni", "nj") == 0.5
     assert net.weight("nj", "ni") == 0.5
@@ -39,10 +39,11 @@ def test_criterion_1_formula_fixtures(table1_repo):
     occurrence = build_occurrence(repo, "cite")
     assert all(occurrence.weight("s", t) == 0.02 for t in targets)
 
-    e1 = decay(1.0, 0.15)
-    e2 = decay(e1, 0.15)
-    assert e1 == 0.85
-    assert abs(e2 - 0.7225) < 1e-12
+    # A -> B -> C: A's keyword arrives at B after one hop and at C after two
+    chain = normalize(build_occurrence(chain_repo, "cite"))
+    store = propagate(chain, chain_repo, PropagationConfig(delta=0.15, seed=0)).store
+    assert store.entry("B", "key") == {"x": 0.85}
+    assert abs(store.entry("C", "key")["x"] - 0.7225) < 1e-12
     print("ACCEPTANCE 1: PASS - formula fixtures exact")
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaprop import evalharness
 from metaprop.evalharness import (
+    RESULTS_HEADER,
     ExperimentConfig,
     accept_meta,
     build_relation_network,
@@ -232,6 +234,23 @@ class TestRunExperiment:
         assert result.rows  # cokey cells survived
         assert result.errors  # occurrence over a property nobody has
 
+    def test_data_error_in_walk_becomes_cell_error(self, monkeypatch):
+        def propagate(net, repo, cfg):
+            raise ValueError("bad data")
+
+        monkeypatch.setattr(evalharness, "propagate", propagate)
+        result = run_experiment(two_cluster_corpus(n_records=20, seed=0), _small_cfg(), workers=1)
+        assert not result.rows
+        assert [e.message for e in result.errors] == ["bad data", "bad data"]
+
+    def test_program_bug_in_walk_raises(self, monkeypatch):
+        def propagate(net, repo, cfg):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(evalharness, "propagate", propagate)
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(two_cluster_corpus(n_records=20, seed=0), _small_cfg(), workers=1)
+
 
 class TestResultsIO:
     def test_round_trip(self, tmp_path):
@@ -240,6 +259,28 @@ class TestResultsIO:
         path = tmp_path / "results.tsv"
         save_results(rows, path)
         assert load_results(path) == rows
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [(2, "x"), (4, ""), (7, "2.5"), (8, "many"), (10, "1,0")],
+    )
+    def test_bad_number_rejected(self, tmp_path, column, bad):
+        fields = "cokey jour 0.61 0.0 0.5 0.5 0.5 2 10 0 0.5".split()
+        fields[column] = bad
+        path = tmp_path / "results.tsv"
+        path.write_text(RESULTS_HEADER + "\n" + "\t".join(fields) + "\n")
+        name = RESULTS_HEADER.split("\t")[column]
+        with pytest.raises(ValueError, match=rf"results\.tsv:2: {name} must be"):
+            load_results(path)
+
+    @pytest.mark.parametrize("flag", ["7", "", "true", "-1"])
+    def test_anomalous_flag_must_be_0_or_1(self, tmp_path, flag):
+        fields = "cokey jour 0.61 0.0 0.5 0.5 0.5 2 10 0 0.5".split()
+        fields[9] = flag
+        path = tmp_path / "results.tsv"
+        path.write_text(RESULTS_HEADER + "\n" + "\t".join(fields) + "\n")
+        with pytest.raises(ValueError, match=r"results\.tsv:2: anomalous must be 0 or 1"):
+            load_results(path)
 
     def test_landscape_matrix(self, tmp_path):
         repo = two_cluster_corpus(n_records=30, seed=2)

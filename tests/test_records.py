@@ -11,7 +11,6 @@ from metaprop.records import (
     ingest,
     load_repository,
     make_record,
-    meta,
     save_repository,
 )
 
@@ -57,16 +56,16 @@ class TestIngest:
 class TestMeta:
     def test_returns_ingested_set(self):
         repo = ingest(_lines({"id": "n", "properties": {"key": ["repository", "metadata", "particle"]}}))
-        assert meta(repo, "n", "key") == {"repository", "metadata", "particle"}
+        assert repo.meta("n", "key") == {"repository", "metadata", "particle"}
 
     def test_absent_property_is_empty_set(self):
         repo = ingest(_lines({"id": "n"}))
-        assert meta(repo, "n", "date") == frozenset()
+        assert repo.meta("n", "date") == frozenset()
 
     def test_unknown_id(self):
         repo = ingest(_lines({"id": "n"}))
         with pytest.raises(UnknownResourceError):
-            meta(repo, "nope", "key")
+            repo.meta("nope", "key")
 
 
 class TestPersistence:

@@ -1,136 +1,174 @@
-import random
-from collections import Counter
-
 import pytest
 
-from metaprop.netbuild import build_cooccurrence, build_occurrence, normalize
-from metaprop.records import Repository, UnknownResourceError, make_record
+from metaprop.netbuild import (
+    AssociativeNetwork,
+    build_cooccurrence,
+    build_occurrence,
+    normalize,
+    parse_relation,
+)
+from metaprop.records import Repository, ResourceRecord, UnknownResourceError, make_record
 from metaprop.swarm import (
-    NoOutgoingEdgesError,
     NotNormalizedError,
-    Particle,
     PropagationConfig,
     RecommendationStore,
-    choose_next,
-    decay,
     derive_seed,
-    init_particles,
     load_store,
     propagate,
-    recommend_meta,
     save_store,
 )
 
 
 def geometric(delta, t):
-    """(1 - delta)^t by repeated multiplication, mirroring per-tick decay."""
+    """(1 - delta)^t by repeated multiplication, mirroring the per-tick update."""
     e = 1.0
     for _ in range(t):
         e *= 1.0 - delta
     return e
 
 
+def walk(repo, **cfg):
+    """Propagate over the repository's normalized ``cite`` occurrence network."""
+    return propagate(normalize(build_occurrence(repo, "cite")), repo, PropagationConfig(**cfg))
+
+
+@pytest.fixture
+def cycle_repo():
+    """A and B cite each other; only A carries a keyword, so only B can receive it."""
+    return Repository(
+        [make_record("A", {"cite": ["B"], "key": ["x"]}), make_record("B", {"cite": ["A"]})]
+    )
+
+
 class TestDecay:
-    def test_figure_values(self):
-        assert decay(1.0, 0.15) == 0.85
-        assert decay(0.85, 0.15) == 0.85 * 0.85  # 0.7225 up to float rounding
+    """Energies: every live particle carries (1 - delta)^t after t ticks."""
 
-    def test_zero_decay_identity(self):
-        assert decay(0.37, 0.0) == 0.37
+    def test_figure_values(self, cycle_repo):
+        result = walk(cycle_repo, delta=0.15, max_steps=2, seed=0)
+        assert result.store.entry("B", "key") == {"x": 0.85}  # A's particle is home at t=2
+        assert result.residual_energy == 2 * geometric(0.15, 2)  # two particles at ~0.7225
 
-    def test_full_decay(self):
-        assert decay(1.0, 1.0) == 0.0
+    def test_zero_decay_identity(self, cycle_repo):
+        # energy stays 1.0, so the floor never stops the walk
+        result = walk(cycle_repo, delta=0.0, max_steps=5, seed=0)
+        assert result.ticks == 5
+        assert result.residual_energy == 2.0
+        assert result.store.entry("B", "key") == {"x": 3.0}  # ticks 1, 3 and 5
+
+    def test_full_decay(self, cycle_repo):
+        # energy is 0 after the first tick, which ends the walk at the floor
+        result = walk(cycle_repo, delta=1.0, seed=0)
+        assert result.ticks == 1
+        assert result.residual_energy == 0.0
+        assert result.store.entry("B", "key") == {"x": 0.0}
 
 
 class TestInitParticles:
-    def test_three_node_network(self, chain_repo):
-        net = normalize(build_occurrence(chain_repo, "cite"))
-        particles = init_particles(net, chain_repo, seed=4)
-        assert len(particles) == 3
-        for p in particles:
-            assert p.energy == 1.0
-            assert p.current == p.home
-            assert not p.frozen
+    """Set-up: one particle per network node, each carrying its home's metadata."""
 
-    def test_payload_is_full_metadata(self, chain_repo):
-        net = normalize(build_occurrence(chain_repo, "cite"))
-        by_home = {p.home: p for p in init_particles(net, chain_repo)}
-        assert by_home["A"].payload["key"] == {"x"}
-        assert by_home["A"].payload["cite"] == {"B"}
+    def test_three_node_network(self, chain_repo):
+        result = walk(chain_repo, max_steps=1, seed=4)
+        assert result.ticks == 1
+        assert result.frozen == 1  # C's particle, at a dead end
+        assert result.residual_energy == 2 * 0.85
+
+    def test_payload_is_full_metadata(self):
+        repo = Repository([make_record("A", {"cite": ["B"], "key": ["x"]}), make_record("B", {})])
+        result = walk(repo, max_steps=1, seed=0)
+        assert result.store.entry("B", "key") == {"x": 0.85}
+        assert result.store.entry("B", "cite") == {"B": 0.85}
 
     def test_empty_network(self):
-        repo = Repository()
-        net = normalize(build_occurrence(repo, "cite"))
-        assert init_particles(net, repo) == []
-
-    def test_unnormalized_network_rejected(self, chain_repo):
-        net = build_occurrence(chain_repo, "cite")
-        with pytest.raises(NotNormalizedError):
-            init_particles(net, chain_repo)
+        result = walk(Repository(), seed=0)
+        assert result.ticks == 0
+        assert result.frozen == 0
+        assert len(result.store) == 0
 
     def test_node_missing_from_repository(self, chain_repo):
         net = normalize(build_occurrence(chain_repo, "cite"))
-        with pytest.raises(UnknownResourceError):
-            init_particles(net, Repository([make_record("A", {})]))
+        with pytest.raises(UnknownResourceError) as excinfo:
+            propagate(net, Repository([make_record("A", {})]), PropagationConfig())
+        assert excinfo.value.resource_id == "B"  # the first missing id in sorted order
 
 
 class TestChooseNext:
-    def test_single_edge(self):
-        rng = random.Random(0)
-        assert choose_next((("b", 1.0),), rng) == "b"
+    """Moves: each move takes one draw from the home's own RNG substream."""
+
+    def test_single_edge(self, cycle_repo):
+        result = walk(cycle_repo, delta=0.15, max_steps=4, seed=0)
+        assert result.frozen == 0
+        assert result.store.entry("B", "key") == {"x": geometric(0.15, 1) + geometric(0.15, 3)}
 
     def test_empirical_frequencies(self):
-        edges = (("a", 0.25), ("b", 0.75))
-        rng = random.Random(123)
-        counts = Counter(choose_next(edges, rng) for _ in range(100_000))
-        assert abs(counts["a"] / 100_000 - 0.25) < 0.01
-        assert abs(counts["b"] / 100_000 - 0.75) < 0.01
-
-    def test_deterministic_sequence(self):
-        edges = (("a", 0.5), ("b", 0.3), ("c", 0.2))
-        seq1 = [choose_next(edges, random.Random(7)) for _ in range(1)]
-        rng1, rng2 = random.Random(7), random.Random(7)
-        seq1 = [choose_next(edges, rng1) for _ in range(200)]
-        seq2 = [choose_next(edges, rng2) for _ in range(200)]
-        assert seq1 == seq2
+        # 20,000 spokes, each with out-weights 0.25 to "a" and 0.75 to "b";
+        # a spoke's particle deposits its own id at the node it reaches
+        spokes = [f"s{i:05d}" for i in range(20_000)]
+        n = len(spokes)
+        net = AssociativeNetwork(
+            parse_relation("cite"),
+            ["a", "b"] + spokes,
+            [0, 0] + [2 * i for i in range(n + 1)],
+            [0, 1] * n,
+            [0.25, 0.75] * n,
+            normalized=True,
+        )
+        repo = Repository(
+            [make_record("a", {}), make_record("b", {})]
+            + [make_record(s, {"tag": [s]}) for s in spokes]
+        )
+        result = propagate(net, repo, PropagationConfig(max_steps=1, seed=123))
+        to_a, to_b = len(result.store.entry("a", "tag")), len(result.store.entry("b", "tag"))
+        assert to_a + to_b == n
+        assert abs(to_a / n - 0.25) < 0.01
 
     def test_no_edges(self):
-        with pytest.raises(NoOutgoingEdgesError):
-            choose_next((), random.Random(0))
+        repo = Repository([make_record(r, {"key": [r]}) for r in ("A", "B", "C")])
+        result = walk(repo, seed=0)
+        assert (result.ticks, result.frozen, len(result.store)) == (1, 3, 0)
+        assert result.residual_energy == 0
 
 
 class TestRecommendMeta:
-    def _particle(self, home, energy, payload):
-        return Particle(home=home, current="n3", energy=energy, payload=payload)
+    """Deposits: a payload property lands only where the node holds none of it."""
 
     def test_figure_sequence_reinforcement(self):
-        repo = Repository([make_record("n3", {})])
-        store = RecommendationStore()
-        p1 = self._particle("n1", 0.85, {"key": frozenset({"swarm", "algorithms"})})
-        p2 = self._particle("n2", 0.85 * 0.85, {"key": frozenset({"swarm"})})
-        recommend_meta("n3", p1, repo, store)
-        recommend_meta("n3", p2, repo, store)
-        entry = store.entry("n3", "key")
+        # n1 -> n3 deposits at t=1, n2 -> m -> n3 deposits again at t=2
+        repo = Repository(
+            [
+                make_record("m", {"cite": ["n3"]}),
+                make_record("n1", {"cite": ["n3"], "key": ["swarm", "algorithms"]}),
+                make_record("n2", {"cite": ["m"], "key": ["swarm"]}),
+                make_record("n3", {}),
+            ]
+        )
+        entry = walk(repo, delta=0.15, seed=0).store.entry("n3", "key")
         assert entry["swarm"] == 0.85 + 0.85 * 0.85  # ~1.573
         assert entry["algorithms"] == 0.85
 
     def test_metadata_poor_guard(self):
-        repo = Repository([make_record("n3", {"key": ["already"]})])
-        store = RecommendationStore()
-        recommend_meta("n3", self._particle("n1", 0.85, {"key": frozenset({"swarm"})}), repo, store)
-        assert store.entry("n3", "key") == {}
+        repo = Repository(
+            [make_record("n1", {"cite": ["n3"], "key": ["swarm"]}),
+             make_record("n3", {"key": ["already"]})]
+        )
+        result = walk(repo, seed=0)
+        assert result.store.entry("n3", "key") == {}
+        assert result.store.entry("n3", "cite") == {"n3": 0.85}  # n3 holds no cite
 
     def test_empty_payload_property(self):
-        repo = Repository([make_record("n3", {})])
-        store = RecommendationStore()
-        recommend_meta("n3", self._particle("n1", 0.85, {"key": frozenset()}), repo, store)
-        assert len(store) == 0
+        repo = Repository(
+            [ResourceRecord("A", {"cite": frozenset({"B"}), "key": frozenset()}),
+             make_record("B", {})]
+        )
+        result = walk(repo, seed=0)
+        assert result.store.entry("B", "key") == {}
+        assert result.store.entry("B", "cite") == {"B": 0.85}
 
-    def test_node_metadata_never_mutated(self):
-        repo = Repository([make_record("n3", {})])
-        store = RecommendationStore()
-        recommend_meta("n3", self._particle("n1", 0.85, {"key": frozenset({"swarm"})}), repo, store)
-        assert repo.meta("n3", "key") == frozenset()
+    def test_node_metadata_never_mutated(self, chain_repo):
+        before = {rec.id: dict(rec.properties) for rec in chain_repo}
+        result = walk(chain_repo, seed=0)
+        assert result.store.entry("C", "key")
+        assert {rec.id: dict(rec.properties) for rec in chain_repo} == before
+        assert chain_repo.meta("C", "key") == frozenset()
 
 
 class TestPropagate:
@@ -149,9 +187,11 @@ class TestPropagate:
 
     def test_full_decay_zero_energies(self, chain_repo):
         net = normalize(build_occurrence(chain_repo, "cite"))
-        result = propagate(net, chain_repo, PropagationConfig(delta=1.0, seed=0))
-        for _, values in result.store.entries():
-            assert all(e == 0.0 for e in values.values())
+        for delta, energy in ((1.0, 0.0), (0.0, 1.0)):
+            result = propagate(net, chain_repo, PropagationConfig(delta=delta, seed=0))
+            assert len(result.store)
+            for _, values in result.store.entries():
+                assert all(e == energy for e in values.values())
 
     def test_deterministic_store(self):
         records = [
@@ -239,6 +279,24 @@ class TestStoreSerialization:
             save_store(result.store, p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_duplicate_value_rejected(self, tmp_path):
+        path = tmp_path / "store.tsv"
+        path.write_text("A\tkey\tx\t0.5\nA\tkey\ty\t0.5\nA\tkey\tx\t0.5\n")
+        with pytest.raises(ValueError, match=r"store\.tsv:3: duplicate value 'x'"):
+            load_store(path)
+
+    @pytest.mark.parametrize("energy", ["abc", "", "nan", "inf", "-inf", "-0.5"])
+    def test_bad_energy_rejected(self, tmp_path, energy):
+        path = tmp_path / "store.tsv"
+        path.write_text(f"A\tkey\tx\t0.5\nB\tkey\tx\t{energy}\n")
+        with pytest.raises(ValueError, match=r"store\.tsv:2: energy must be"):
+            load_store(path)
+
+    def test_zero_energy_accepted(self, tmp_path):
+        path = tmp_path / "store.tsv"
+        path.write_text("A\tkey\tx\t0\n")
+        assert load_store(path).entry("A", "key") == {"x": 0.0}
 
 
 def test_derive_seed_is_stable_and_spread():
