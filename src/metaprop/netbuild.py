@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import count, repeat
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -149,6 +148,7 @@ class AssociativeNetwork:
         for bad, what in (
             (indices == src, "self-loop on"),
             (~(weights > 0.0), "non-positive weight on"),
+            (weights == np.inf, "infinite weight on"),
         ):
             hit = np.flatnonzero(bad)
             if hit.size:
@@ -322,6 +322,26 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     )
 
 
+_BLOCK = 1 << 16  # edge lines per written block; also the parsed-weight cache's bound
+_READ_CHARS = 1 << 18  # characters per read block
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
+
+
+class _Memo(dict):
+    """A dict that fills in a missing key with ``make(key)``: a new key costs
+    one Python call, a repeated one a C-level lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
 def save_network(net: AssociativeNetwork, destination) -> None:
     """Write a network as a TSV edge list.
 
@@ -329,10 +349,15 @@ def save_network(net: AssociativeNetwork, destination) -> None:
     Body: one line per isolated node (single field), then one line per edge
     ``src\\tdst\\tweight`` with the weight in C99 hex-float form so round
     trips are bit-exact.
+
+    Edge lines are written in blocks, each gathered from per-node and
+    per-weight text tokens with numpy object arrays and joined at once; a
+    weight's hex text is formatted once per distinct value in its block.
     """
     touched = np.zeros(len(net.ids), dtype=bool)
     touched[np.diff(net.indptr) > 0] = True
     touched[net.indices] = True
+    tokens = np.array([node + "\t" for node in net.ids], dtype=object)
     with open(destination, "w", encoding="utf-8") as fh:
         fh.write(
             f"{net.relation.label}\t{len(net.ids)}\t{net.edge_count}\t"
@@ -340,8 +365,73 @@ def save_network(net: AssociativeNetwork, destination) -> None:
         )
         for i in np.flatnonzero(~touched).tolist():
             fh.write(net.ids[i] + "\n")
-        for src, dst, w in net.edges():
-            fh.write(f"{src}\t{dst}\t{w.hex()}\n")
+        for lo in range(0, net.edge_count, _BLOCK):
+            hi = min(lo + _BLOCK, net.edge_count)
+            distinct, which = np.unique(net.weights[lo:hi], return_inverse=True)
+            texts = np.array([w.hex() + "\n" for w in distinct.tolist()], dtype=object)
+            lines = np.empty((hi - lo, 3), dtype=object)
+            lines[:, 0] = tokens[np.searchsorted(net.indptr, np.arange(lo, hi), side="right") - 1]
+            lines[:, 1] = tokens[net.indices[lo:hi]]
+            lines[:, 2] = texts[which]
+            fh.write("".join(lines.ravel().tolist()))
+
+
+def _utf8(text: str, source, line_no: int) -> bytes:
+    """Encode text read with ``errors="surrogateescape"``; a byte that was not
+    valid UTF-8 in the file fails to encode and is reported at its line."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = line_no + text.count("\n", 0, exc.start)
+        raise NetworkFormatError(f"{source}:{line}", "not valid UTF-8") from None
+
+
+def _blocks(fh):
+    """The rest of the file in blocks of whole lines, each ending in "\\n"."""
+    carry = ""
+    for chunk in iter(lambda: fh.read(_READ_CHARS), ""):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield carry + chunk[:cut]
+            carry = chunk[cut:]
+        else:
+            carry += chunk
+    if carry:
+        yield carry + "\n"
+
+
+def _edge_fields(block: str, ids: _Memo, source, line_no: int):
+    """Split a block into its edge lines' fields, ``src, dst, weight`` per
+    line; also give the block-relative row of each edge line and the
+    block's line count.
+
+    A block of edge lines only is recognised by its separators, which must
+    run tab, tab, newline; it is checked and split with C-level calls.  Any
+    other block is read line by line: isolated node lines are numbered into
+    ``ids``, blank lines are skipped and any other line is rejected.
+    """
+    seps = _utf8(block, source, line_no).translate(None, _NOT_SEPARATORS)
+    if seps == b"\t\t\n" * (len(seps) // 3):
+        fields = block.replace("\n", "\t").split("\t")
+        fields.pop()  # the empty field after the last newline
+        rows = range(len(fields) // 3)
+        return fields, rows, len(rows)
+    lines = block.split("\n")
+    lines.pop()
+    rows = []
+    for k, line in enumerate(lines):
+        n_tabs = line.count("\t")
+        if n_tabs == 2:
+            rows.append(k)
+        elif n_tabs == 0:
+            if line:
+                ids[line]  # numbers an isolated node
+        else:
+            raise NetworkFormatError(
+                f"{source}:{line_no + k}", f"expected 1 or 3 fields, got {n_tabs + 1}"
+            )
+    fields = "\t".join([lines[k] for k in rows]).split("\t") if rows else []
+    return fields, rows, len(lines)
 
 
 def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
@@ -349,56 +439,47 @@ def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
     provisional numbers (to be renumbered by sorted id), and each edge's
     source number, destination number and weight in flat typed arrays.
 
-    Lines are read in blocks, and a block's edge lines are split and
-    converted by C-level calls rather than a Python loop per line.
+    The text is read in blocks, and a block's edge lines are converted by
+    C-level calls rather than a Python loop per line.  A repeated weight
+    text is parsed once, from a cache cleared when it passes _BLOCK entries.
     """
-    seen: Dict[str, int] = {}
+    ids = _Memo(lambda node: len(ids))
+    values = _Memo(float.fromhex)
     srcs, dsts, weights = array("i"), array("i"), array("d")
     line_no = 2
-    for lines in iter(lambda: fh.readlines(1 << 20), []):
-        tabs = list(map(str.count, lines, repeat("\t")))
-        edge_rows = range(len(lines))
-        if tabs.count(2) != len(lines):  # isolated nodes, blank or bad lines
-            edge_rows = []
-            for k, n_tabs in enumerate(tabs):
-                if n_tabs == 2:
-                    edge_rows.append(k)
-                elif n_tabs == 0:
-                    node = lines[k].rstrip("\n")
-                    if node:
-                        seen.setdefault(node, len(seen))
-                else:
-                    raise NetworkFormatError(
-                        f"{source}:{line_no + k}", f"expected 1 or 3 fields, got {n_tabs + 1}"
-                    )
-        n = 3 * len(edge_rows)
-        fields = "".join([lines[k] for k in edge_rows]).replace("\n", "\t").split("\t")
-        src_names, dst_names, texts = fields[0:n:3], fields[1:n:3], fields[2:n:3]
-        new_names = set(src_names).union(dst_names).difference(seen)
-        seen.update(zip(new_names, count(len(seen))))
-        srcs.extend(map(seen.__getitem__, src_names))
-        dsts.extend(map(seen.__getitem__, dst_names))
+    for block in _blocks(fh):
+        fields, rows, n_lines = _edge_fields(block, ids, source, line_no)
+        n = len(rows)
+        srcs.frombytes(np.fromiter(map(ids.__getitem__, fields[0::3]), np.int32, n).tobytes())
+        dsts.frombytes(np.fromiter(map(ids.__getitem__, fields[1::3]), np.int32, n).tobytes())
+        if len(values) > _BLOCK:
+            values.clear()
+        texts = fields[2::3]
         try:
-            weights.extend(map(float.fromhex, texts))
-        except ValueError:
-            for k, text in zip(edge_rows, texts):
+            weights.frombytes(np.fromiter(map(values.__getitem__, texts), np.float64, n).tobytes())
+        except (ValueError, OverflowError):  # float.fromhex raises both
+            for k, text in zip(rows, texts):
                 try:
                     float.fromhex(text)
-                except ValueError as exc:
+                except (ValueError, OverflowError) as exc:
                     raise NetworkFormatError(f"{source}:{line_no + k}", f"bad weight {text!r}") from exc
-        line_no += len(lines)
-    return seen, srcs, dsts, weights
+            raise
+        line_no += n_lines
+    return ids, srcs, dsts, weights
 
 
 def load_network(source) -> AssociativeNetwork:
     """Parse a network TSV written by ``save_network``.
 
-    Edge lines may come in any order.  Duplicate edges, counts that disagree
-    with the header, and a normalized flag on rows that do not sum to 1
-    (within 1e-9) raise NetworkFormatError.
+    Edge lines may come in any order.  Bytes that are not UTF-8, a bad header
+    (a normalized flag other than 0 or 1, a negative dangling count), bad
+    lines, duplicate edges, self-loops, weights that are not finite and
+    positive, counts that disagree with the header, and a normalized flag on
+    rows that do not sum to 1 (within 1e-9) raise NetworkFormatError.
     """
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
+        _utf8(header, source, 1)
         if not header.strip():
             raise NetworkFormatError(f"{source}:1", "missing header line")
         fields = header.rstrip("\n").split("\t")
@@ -416,6 +497,12 @@ def load_network(source) -> AssociativeNetwork:
             dangling = int(dangling_s)
         except ValueError as exc:
             raise NetworkFormatError(f"{source}:1", f"bad header counts: {exc}") from exc
+        if normalized_s not in ("0", "1"):
+            raise NetworkFormatError(
+                f"{source}:1", f"normalized flag must be 0 or 1, got {normalized_s!r}"
+            )
+        if dangling < 0:
+            raise NetworkFormatError(f"{source}:1", f"negative dangling count {dangling}")
         seen, srcs, dsts, weights = _read_body(fh, source)
     if len(seen) != node_count or len(weights) != edge_count:
         raise NetworkFormatError(
@@ -428,12 +515,18 @@ def load_network(source) -> AssociativeNetwork:
     rank[[seen[node] for node in ids]] = np.arange(len(ids), dtype=np.int32)
     src = rank[np.frombuffer(srcs, dtype=np.int32)]
     dst = rank[np.frombuffer(dsts, dtype=np.int32)]
+    del srcs, dsts  # the sort below is load's memory peak; keep only what it needs
     # stable sort by (src, dst); near-linear on a file already in that order
-    order = np.argsort(src.astype(np.int64) * len(ids) + dst, kind="stable")
+    keys = src.astype(np.int64)
+    keys *= len(ids)
+    keys += dst
+    order = np.argsort(keys, kind="stable")
+    del keys
     src, dst = src[order], dst[order]
+    weights = np.frombuffer(weights)[order]
     try:
         net = AssociativeNetwork(
-            relation, ids, _indptr(src, len(ids)), dst, np.frombuffer(weights)[order],
+            relation, ids, _indptr(src, len(ids)), dst, weights,
             normalized=normalized, dangling=dangling,
         )
     except ValueError as exc:

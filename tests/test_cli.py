@@ -129,6 +129,25 @@ class TestPropagate:
         assert main(["propagate", str(net), str(repo_file), "--seed", "1",
                      "--normalize", "--output", str(store)]) == 0
 
+    def test_non_utf8_network_is_an_error(self, repo_file, tmp_path, capsys):
+        net = self._build(repo_file, tmp_path)
+        header, first, rest = net.read_bytes().split(b"\n", 2)
+        net.write_bytes(header + b"\n" + first.replace(b"A", b"A\xff", 1) + b"\n" + rest)
+        rc = main(["propagate", str(net), str(repo_file), "--output", str(tmp_path / "s.tsv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {net}:2: not valid UTF-8")
+
+    def test_infinite_weight_is_an_error(self, repo_file, tmp_path, capsys):
+        net = tmp_path / "raw.tsv"
+        assert main(["build-network", str(repo_file), "--relation", "cite",
+                     "--no-normalize", "--output", str(net)]) == 0
+        header, first, rest = net.read_text().split("\n", 2)
+        net.write_text(header + "\n" + first.rsplit("\t", 1)[0] + "\tinf\n" + rest)
+        rc = main(["propagate", str(net), str(repo_file), "--normalize",
+                   "--output", str(tmp_path / "s.tsv")])
+        assert rc == 1
+        assert "infinite weight on ('A', 'B')" in capsys.readouterr().err
+
     def test_generated_seed_is_printed(self, repo_file, tmp_path, capsys):
         net = self._build(repo_file, tmp_path)
         assert main(["propagate", str(net), str(repo_file),

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaprop import netbuild
 from metaprop.netbuild import (
     COOCCURRENCE,
     OCCURRENCE,
     AlreadyNormalizedError,
+    AssociativeNetwork,
     NetworkFormatError,
     Relation,
     RelationError,
@@ -41,6 +43,28 @@ def brute_force_cooccurrence(repo, mu):
 
 def edge_dict(net):
     return {(s, d): w for s, d, w in net.edges()}
+
+
+def reference_save(net, path):
+    """The per-edge writer that save_network's blocked writer replaced; kept
+    as the oracle for the network file's bytes."""
+    touched = {s for s, _, _ in net.edges()} | {d for _, d, _ in net.edges()}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"{net.relation.label}\t{len(net.ids)}\t{net.edge_count}\t"
+            f"{int(net.normalized)}\t{net.dangling}\n"
+        )
+        for node in net.ids:
+            if node not in touched:
+                fh.write(node + "\n")
+        for src, dst, w in net.edges():
+            fh.write(f"{src}\t{dst}\t{w.hex()}\n")
+
+
+def rewrite_body(path, edit):
+    """Apply ``edit`` to a network file's body lines, keeping the header."""
+    header, *body = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(edit(body)))
 
 
 class TestRelations:
@@ -271,8 +295,14 @@ class TestSerialization:
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t-0x1.0p-1"] + edges[1:], "non-positive"),
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tzz"] + edges[1:], ":2: bad weight 'zz'"),
             (lambda edges: edges + ["ni\tnj"], ":4: expected 1 or 3 fields, got 2"),
+            (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tinf"] + edges[1:], "infinite weight"),
+            (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t-inf"] + edges[1:], "non-positive"),
+            (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tnan"] + edges[1:], "non-positive"),
+            # float.fromhex raises OverflowError, not ValueError, on this one
+            (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t0x1p99999"] + edges[1:], ":2: bad weight"),
         ],
-        ids=["duplicate", "self-loop", "non-positive", "bad-weight", "two-fields"],
+        ids=["duplicate", "self-loop", "non-positive", "bad-weight", "two-fields",
+             "inf", "-inf", "nan", "overflow"],
     )
     def test_bad_edge_lines_rejected(self, table1_repo, tmp_path, edit, message):
         # the header's edge count is kept in step, so only the edit is wrong
@@ -304,6 +334,147 @@ class TestSerialization:
         path.write_text(edited)
         with pytest.raises(NetworkFormatError, match="normalized.*'a'"):
             load_network(path)
+
+    def test_infinite_weight_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="infinite weight on \\('a', 'b'\\)"):
+            AssociativeNetwork(Relation(OCCURRENCE, "cite"), ["a", "b"], [0, 1, 1], [1], [math.inf])
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("cokey\t2\t2\t7\t-5", "normalized flag must be 0 or 1, got '7'"),
+            ("cokey\t2\t2\t 1\t0", "normalized flag must be 0 or 1, got ' 1'"),
+            ("cokey\t2\t2\t-1\t0", "normalized flag must be 0 or 1, got '-1'"),
+            ("cokey\t2\t2\t01\t0", "normalized flag must be 0 or 1, got '01'"),
+            ("cokey\t2\t2\t\t0", "bad header counts"),
+            ("cokey\t2\t2\t0\t-5", "negative dangling count -5"),
+            ("cokey\t2\t2\t0\tx", "bad header counts"),
+        ],
+        ids=["flag-7", "flag-space-1", "flag-minus-1", "flag-01", "flag-empty", "dangling-minus-5", "dangling-x"],
+    )
+    def test_bad_header_fields_rejected(self, table1_repo, tmp_path, header, message):
+        path = tmp_path / "net.tsv"
+        save_network(build_cooccurrence(table1_repo, "key"), path)
+        body = path.read_text().split("\n", 1)[1]
+        path.write_text(header + "\n" + body)
+        with pytest.raises(NetworkFormatError, match=f":1: {message}"):
+            load_network(path)
+
+    @pytest.mark.parametrize("line_no", [1, 2, 3])
+    def test_non_utf8_bytes_name_their_line(self, table1_repo, tmp_path, line_no):
+        path = tmp_path / "net.tsv"
+        save_network(build_cooccurrence(table1_repo, "key"), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(NetworkFormatError, match=f":{line_no}: not valid UTF-8"):
+            load_network(path)
+
+    def test_crlf_file_loads(self, chain_repo, tmp_path):
+        net = normalize(build_occurrence(chain_repo, "cite"))
+        path = tmp_path / "net.tsv"
+        save_network(net, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_network(path) == net
+
+
+@pytest.fixture(scope="module")
+def big_network_file(tmp_path_factory):
+    """A 420-node co-occurrence network (175,980 edges, 5.6 MB): more
+    edges than one write block and more text than one read block."""
+    repo = Repository(
+        [make_record(f"n{i:03d}", {"key": ["shared", f"k{i % 7}"]}) for i in range(420)]
+    )
+    net = normalize(build_cooccurrence(repo, "key"))
+    path = tmp_path_factory.mktemp("big") / "net.tsv"
+    save_network(net, path)
+    return net, path
+
+
+class TestBlockedIO:
+    def test_bytes_and_round_trip(self, big_network_file, tmp_path):
+        net, path = big_network_file
+        assert net.edge_count > 2 * netbuild._BLOCK
+        assert path.stat().st_size > 4 * netbuild._READ_CHARS
+        reference_save(net, tmp_path / "reference.tsv")
+        assert path.read_bytes() == (tmp_path / "reference.tsv").read_bytes()
+        assert load_network(path) == net
+
+    @pytest.mark.parametrize("extra", [[], ["\n"], ["n007\n"]], ids=["none", "blank", "node-only"])
+    def test_bad_line_after_first_block_names_its_line(self, big_network_file, tmp_path, extra):
+        _, saved = big_network_file
+        path = tmp_path / "net.tsv"
+        path.write_bytes(saved.read_bytes())
+        bad = 150_000  # body index: far past the first read block
+
+        def edit(body):
+            body = body[:10] + extra + body[10:]  # a blank or node-only line still counts
+            body[bad] = body[bad].rsplit("\t", 1)[0] + "\tzz\n"
+            return body
+
+        rewrite_body(path, edit)
+        with pytest.raises(NetworkFormatError, match=f":{bad + 2}: bad weight 'zz'"):
+            load_network(path)
+
+    def test_field_count_error_in_a_later_block(self, big_network_file, tmp_path):
+        _, saved = big_network_file
+        path = tmp_path / "net.tsv"
+        path.write_bytes(saved.read_bytes())
+        rewrite_body(path, lambda body: body[:100_000] + ["n001\tn002\n", "\n"] + body[100_000:])
+        with pytest.raises(NetworkFormatError, match=":100002: expected 1 or 3 fields, got 2"):
+            load_network(path)
+
+
+IDS = st.text(
+    st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+)
+WEIGHTS = st.one_of(
+    st.sampled_from([2.0**-1074, 2.0**-1022 * 0.75, 1.0 - 2.0**-53, 0.5, 1.0, 1.0 / 3.0]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@st.composite
+def networks(draw):
+    ids = sorted(draw(st.sets(IDS, min_size=1, max_size=12)))
+    n = len(ids)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs), max_size=40))) if pairs else []
+    pool = draw(st.lists(WEIGHTS, min_size=1, max_size=4))  # few distinct weights, repeated
+    weights = [draw(st.sampled_from(pool)) for _ in chosen]
+    indptr = [0] * (n + 1)
+    for i, _ in chosen:
+        indptr[i + 1] += 1
+    for i in range(n):
+        indptr[i + 1] += indptr[i]
+    net = AssociativeNetwork(
+        Relation(COOCCURRENCE, "key"), ids, indptr, [j for _, j in chosen], weights,
+        dangling=draw(st.integers(0, 3)),
+    )
+    if draw(st.booleans()):
+        try:
+            net = normalize(net)
+        except ValueError:  # a weight underflowed to 0 against its row total
+            pass
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.randoms(use_true_random=False))
+def test_save_load_round_trip_property(tmp_path_factory, net, rnd):
+    out = tmp_path_factory.mktemp("rt")
+    save_network(net, out / "net.tsv")
+    reference_save(net, out / "reference.tsv")
+    assert (out / "net.tsv").read_bytes() == (out / "reference.tsv").read_bytes()
+    loaded = load_network(out / "net.tsv")
+    assert loaded == net and loaded.dangling == net.dangling
+    # split on "\n" alone: str.splitlines would also split ids at "\x85" or "\u2028"
+    header, *body = [line + "\n" for line in (out / "net.tsv").read_text("utf-8").split("\n")[:-1]]
+    rnd.shuffle(body)
+    (out / "shuffled.tsv").write_text(header + "".join(body), encoding="utf-8")
+    assert load_network(out / "shuffled.tsv") == net
 
 
 @settings(max_examples=30)
