@@ -147,6 +147,7 @@ class AssociativeNetwork:
         src = self._sources()
         for bad, what in (
             (indices == src, "self-loop on"),
+            (np.isnan(weights), "NaN weight on"),
             (~(weights > 0.0), "non-positive weight on"),
             (weights == np.inf, "infinite weight on"),
         ):
@@ -191,14 +192,6 @@ class AssociativeNetwork:
             return float(self.weights[k])
         return None
 
-    def edges(self):
-        """All (src, dst, weight) triples in sorted order."""
-        ids, bounds = self.ids, self.indptr.tolist()
-        for i, src in enumerate(ids):
-            lo, hi = bounds[i], bounds[i + 1]
-            for d, w in zip(self.indices[lo:hi].tolist(), self.weights[lo:hi].tolist()):
-                yield src, ids[d], w
-
     @property
     def edge_count(self) -> int:
         return len(self.indices)
@@ -206,10 +199,20 @@ class AssociativeNetwork:
     @property
     def pair_count(self) -> int:
         """Number of unordered node pairs joined by at least one edge."""
-        src = self._sources().astype(np.int64)
-        dst = self.indices.astype(np.int64)
-        keys = np.sort(np.minimum(src, dst) * len(self.ids) + np.maximum(src, dst))
-        return int(np.count_nonzero(np.diff(keys))) + 1 if len(keys) else 0
+        # each upward edge (src < dst) is one pair, and its src*n+dst keys are
+        # already sorted in CSR order; a downward edge adds a pair only when
+        # its reverse is not an upward edge.  No full-length key array or
+        # whole-array sort is made.
+        src, dst, n = self._sources(), self.indices, len(self.ids)
+        up = dst > src  # no self-loops, so the rest point down
+        forward = src[up].astype(np.int64) * n + dst[up]
+        down = ~up
+        backward = dst[down].astype(np.int64) * n + src[down]
+        backward.sort()
+        if not forward.size:
+            return int(backward.size)
+        matched = forward.take(np.searchsorted(forward, backward), mode="clip") == backward
+        return int(forward.size + backward.size - np.count_nonzero(matched))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AssociativeNetwork):

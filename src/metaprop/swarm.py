@@ -1,6 +1,6 @@
 """Discrete particle spreading activation over an associative network.
 
-``propagate`` is one loop.  Every node seeds one particle carrying its
+``propagate`` is one tick loop.  Every node seeds one particle carrying its
 home's non-empty metadata and energy 1.0.  Each tick every live particle
 moves to a neighbor sampled from its node's normalized outgoing weights (one
 draw from the home's own RNG substream), its energy is multiplied by
@@ -8,16 +8,25 @@ draw from the home's own RNG substream), its energy is multiplied by
 the new node for each property the node holds no values of.  All live
 particles share the energy (1 - delta)^t, so the loop keeps one scalar.
 Particles that hit a dead end freeze and never act again.
+
+A tick works on arrays of the live particles: their draws are taken in one
+pass, one vectorized bisection over ``net.cum`` finds every move, and only
+the particles that reach a node missing a property they carry deposit.
+Every deposit in a tick carries the same energy, so the order of deposits
+within a tick cannot change any sum; each (node, property) still receives
+its values in ascending home order, as a per-particle loop would add them.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Mapping, Tuple
+
+import numpy as np
 
 from .netbuild import AssociativeNetwork
 from .records import Repository, UnknownResourceError
@@ -107,56 +116,75 @@ def propagate(
     """Run synchronous ticks until max_steps or the summed energy of
     non-frozen particles drops to the floor.
 
-    Per tick, each non-frozen particle, in home-id order, moves (or freezes
-    at a dead end) and deposits at its new node unless that node is its
-    home.  Deterministic for a fixed (network, repository, config).
+    Per tick, each non-frozen particle moves (or freezes at a dead end) and
+    deposits at its new node unless that node is its home.  Deterministic
+    for a fixed (network, repository, config).
     """
     if not net.normalized:
         raise NotNormalizedError("network must be normalized before propagation")
     ids = net.ids  # sorted, so particle (and node) i is the i-th id
-    payloads, held, rngs = [], [], []
-    for node in ids:
+    n = len(ids)
+    columns: Dict[str, list] = {}  # property -> each node's sorted values, or None
+    rngs = []  # each live particle's substream, aligned with live
+    for i, node in enumerate(ids):
         if node not in repo:
             raise UnknownResourceError(node)
-        props = repo.record(node).properties
-        payloads.append([(mu, sorted(props[mu])) for mu in sorted(props) if props[mu]])
-        held.append({mu for mu, values in props.items() if values})
+        for mu, values in repo.record(node).properties.items():
+            if values:
+                column = columns.get(mu)
+                if column is None:
+                    column = columns[mu] = [None] * n
+                column[i] = sorted(values)
         rngs.append(random.Random(derive_seed(cfg.seed, node)))
+    # (mu, holds-mu mask over nodes, values) in property order; a property
+    # every node holds has no metadata-poor node to deposit at
+    payload = []
+    for mu in sorted(columns):
+        held = np.fromiter((v is not None for v in columns[mu]), dtype=bool, count=n)
+        if not held.all():
+            payload.append((mu, held, columns[mu]))
     store = RecommendationStore()
     keep = 1.0 - cfg.delta
-    # memoryviews hand bisect plain Python numbers
-    indptr, indices, cum = memoryview(net.indptr), memoryview(net.indices), memoryview(net.cum)
-    at = list(range(len(ids)))  # each particle's current node, by home
-    live = list(range(len(ids)))  # homes of the non-frozen particles, ascending
+    indptr, indices, cum = net.indptr, net.indices, net.cum
+    live = np.arange(n)  # homes of the non-frozen particles, ascending
+    at = live  # each live particle's current node
     energy = 1.0
     t = 0
-    while live and t < cfg.max_steps:
+    while live.size and t < cfg.max_steps:
         # a sequential sum: energy * len(live) may round differently
         if sum([energy] * len(live)) <= cfg.energy_floor:
             break
         t += 1
         energy *= keep
-        still = []
-        for home in live:
-            lo, hi = indptr[at[home]], indptr[at[home] + 1]
-            if lo == hi:
-                continue  # dead end: the particle freezes
-            # the first edge whose cumulative weight exceeds the draw; min()
-            # keeps a draw above a row total that falls short of 1.0 on the row
-            node = indices[min(bisect.bisect_right(cum, rngs[home].random(), lo, hi), hi - 1)]
-            at[home] = node
-            still.append(home)
-            if node == home:
-                continue
-            for mu, values in payloads[home]:
-                if mu not in held[node]:  # the node is metadata-poor at mu
-                    for x in values:
-                        store.add(ids[node], mu, x, energy)
-        live = still
+        lo, hi = indptr[at], indptr[at + 1]
+        moves = lo < hi
+        if not moves.all():  # dead ends: those particles freeze, drawing nothing
+            live, lo, hi = live[moves], lo[moves], hi[moves]
+            rngs = list(compress(rngs, moves.tolist()))
+        draws = np.fromiter(map(random.Random.random, rngs), dtype=np.float64, count=len(rngs))
+        # bisect_right over each row of cum: the first edge whose cumulative
+        # weight exceeds the draw
+        last = hi - 1
+        while (open_ := lo < hi).any():
+            mid = (lo + hi) >> 1
+            left = draws < cum.take(mid, mode="clip")
+            hi = np.where(open_ & left, mid, hi)
+            lo = np.where(open_ & ~left, mid + 1, lo)
+        # min() keeps a draw above a row total that falls short of 1.0 on the row
+        at = indices[np.minimum(lo, last)]
+        # events in ascending home order per property (see the module
+        # docstring); a particle back home never deposits, since its home
+        # holds every property it carries
+        for mu, held, values in payload:
+            hit = np.flatnonzero(held[live] & ~held[at])
+            for home, node in zip(live[hit].tolist(), at[hit].tolist()):
+                node_id = ids[node]
+                for x in values[home]:
+                    store.add(node_id, mu, x, energy)
     return PropagationResult(
         store=store,
         ticks=t,
-        frozen=len(ids) - len(live),
+        frozen=n - len(live),
         residual_energy=sum([energy] * len(live)),
     )
 

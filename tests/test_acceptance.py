@@ -10,6 +10,7 @@ import math
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,13 @@ from metaprop.netbuild import build_cooccurrence, build_occurrence, normalize
 from metaprop.records import Repository, load_repository, make_record
 from metaprop.swarm import PropagationConfig, RecommendationStore, propagate
 from metaprop.synthetic import random_repository, two_cluster_corpus
+
+
+def edge_dict(net):
+    """{(src, dst): weight} for every edge, read off the CSR arrays."""
+    src = np.repeat(np.arange(len(net.ids)), np.diff(net.indptr)).tolist()
+    ids = net.ids
+    return {(ids[s], ids[d]): w for s, d, w in zip(src, net.indices.tolist(), net.weights.tolist())}
 
 
 def test_criterion_1_formula_fixtures(table1_repo, chain_repo):
@@ -64,7 +72,7 @@ def test_criterion_3_brute_force_cooccurrence_oracle():
         n = random.Random(seed).randint(2, 50)
         repo = random_repository(n_records=n, vocab_size=12, seed=seed)
         net = build_cooccurrence(repo, "key")
-        built = {(s, d): w for s, d, w in net.edges()}
+        built = edge_dict(net)
         reference = {}
         for i, j in itertools.combinations(repo.ids(), 2):
             a, b = repo.meta(i, "key"), repo.meta(j, "key")

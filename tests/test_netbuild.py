@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,14 +42,22 @@ def brute_force_cooccurrence(repo, mu):
     return weights
 
 
+def edge_list(net):
+    """All (src, dst, weight) triples in sorted order, read off the CSR arrays."""
+    src = np.repeat(np.arange(len(net.ids)), np.diff(net.indptr)).tolist()
+    ids = net.ids
+    return [(ids[s], ids[d], w) for s, d, w in zip(src, net.indices.tolist(), net.weights.tolist())]
+
+
 def edge_dict(net):
-    return {(s, d): w for s, d, w in net.edges()}
+    return {(s, d): w for s, d, w in edge_list(net)}
 
 
 def reference_save(net, path):
     """The per-edge writer that save_network's blocked writer replaced; kept
     as the oracle for the network file's bytes."""
-    touched = {s for s, _, _ in net.edges()} | {d for _, d, _ in net.edges()}
+    edges = edge_list(net)
+    touched = {s for s, _, _ in edges} | {d for _, d, _ in edges}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"{net.relation.label}\t{len(net.ids)}\t{net.edge_count}\t"
@@ -57,7 +66,7 @@ def reference_save(net, path):
         for node in net.ids:
             if node not in touched:
                 fh.write(node + "\n")
-        for src, dst, w in net.edges():
+        for src, dst, w in edges:
             fh.write(f"{src}\t{dst}\t{w.hex()}\n")
 
 
@@ -150,7 +159,7 @@ class TestCooccurrence:
     def test_symmetric_weights_in_unit_interval(self):
         repo = random_repository(30, seed=11)
         net = build_cooccurrence(repo, "auth")
-        for s, d, w in net.edges():
+        for s, d, w in edge_list(net):
             assert 0.0 < w <= 1.0
             assert net.weight(d, s) == w
             if w == 1.0:
@@ -168,7 +177,14 @@ def test_pair_count_matches_set_of_pairs(seed):
     # cite_rate 0.1 on 60 records gives mutual citations, counted once
     repo = random_repository(60, cite_rate=0.1, seed=seed)
     for net in (build_occurrence(repo, "cite"), build_cooccurrence(repo, "key")):
-        assert net.pair_count == len({frozenset((s, d)) for s, d, _ in net.edges()})
+        assert net.pair_count == len({frozenset((s, d)) for s, d, _ in edge_list(net)})
+
+
+def test_pair_count_without_upward_edges():
+    # only downward edges (b -> a, c -> a, c -> b), and no edges at all
+    down = AssociativeNetwork(parse_relation("cite"), "abc", [0, 0, 1, 3], [0, 0, 1], [1.0] * 3)
+    assert down.pair_count == 3
+    assert AssociativeNetwork(parse_relation("cite"), "ab", [0, 0, 0], [], []).pair_count == 0
 
 
 class TestNormalize:
@@ -297,7 +313,7 @@ class TestSerialization:
             (lambda edges: edges + ["ni\tnj"], ":4: expected 1 or 3 fields, got 2"),
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tinf"] + edges[1:], "infinite weight"),
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t-inf"] + edges[1:], "non-positive"),
-            (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tnan"] + edges[1:], "non-positive"),
+            (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tnan"] + edges[1:], "NaN weight"),
             # float.fromhex raises OverflowError, not ValueError, on this one
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t0x1p99999"] + edges[1:], ":2: bad weight"),
         ],

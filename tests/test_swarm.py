@@ -1,4 +1,9 @@
+import bisect
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaprop.netbuild import (
     AssociativeNetwork,
@@ -11,12 +16,75 @@ from metaprop.records import Repository, ResourceRecord, UnknownResourceError, m
 from metaprop.swarm import (
     NotNormalizedError,
     PropagationConfig,
+    PropagationResult,
     RecommendationStore,
     derive_seed,
     load_store,
     propagate,
     save_store,
 )
+
+
+def reference_propagate(net, repo, cfg):
+    """The per-particle scalar loop that propagate's per-tick array step
+    replaced; kept as the oracle for stores, ticks, frozen counts and
+    residual energies."""
+    if not net.normalized:
+        raise NotNormalizedError("network must be normalized before propagation")
+    ids = net.ids
+    payloads, held, rngs = [], [], []
+    for node in ids:
+        if node not in repo:
+            raise UnknownResourceError(node)
+        props = repo.record(node).properties
+        payloads.append([(mu, sorted(props[mu])) for mu in sorted(props) if props[mu]])
+        held.append({mu for mu, values in props.items() if values})
+        rngs.append(random.Random(derive_seed(cfg.seed, node)))
+    store = RecommendationStore()
+    keep = 1.0 - cfg.delta
+    indptr, indices, cum = memoryview(net.indptr), memoryview(net.indices), memoryview(net.cum)
+    at = list(range(len(ids)))
+    live = list(range(len(ids)))
+    energy = 1.0
+    t = 0
+    while live and t < cfg.max_steps:
+        if sum([energy] * len(live)) <= cfg.energy_floor:
+            break
+        t += 1
+        energy *= keep
+        still = []
+        for home in live:
+            lo, hi = indptr[at[home]], indptr[at[home] + 1]
+            if lo == hi:
+                continue
+            node = indices[min(bisect.bisect_right(cum, rngs[home].random(), lo, hi), hi - 1)]
+            at[home] = node
+            still.append(home)
+            if node == home:
+                continue
+            for mu, values in payloads[home]:
+                if mu not in held[node]:
+                    for x in values:
+                        store.add(ids[node], mu, x, energy)
+        live = still
+    return PropagationResult(
+        store=store,
+        ticks=t,
+        frozen=len(ids) - len(live),
+        residual_energy=sum([energy] * len(live)),
+    )
+
+
+def exact(result):
+    """A walk's outcome with energies as hex (the residual as repr: it is the
+    int 0 when no particle is live) and each entry's values in insertion
+    order, so equal means bit for bit."""
+    return (
+        [(key, [(x, e.hex()) for x, e in values.items()]) for key, values in result.store.entries()],
+        result.ticks,
+        result.frozen,
+        repr(result.residual_energy),
+    )
 
 
 def geometric(delta, t):
@@ -303,3 +371,75 @@ def test_derive_seed_is_stable_and_spread():
     assert derive_seed(1, "a") == derive_seed(1, "a")
     assert derive_seed(1, "a") != derive_seed(1, "b")
     assert derive_seed(1, "a") != derive_seed(2, "a")
+
+
+@st.composite
+def walk_cases(draw):
+    """A random normalized network with dead ends and isolated nodes, over
+    records holding some, none or empty sets of three properties."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # shapes the network and records
+    n = draw(st.integers(0, 60))
+    ids = [f"n{i:02d}" for i in range(n)]
+    indptr, indices, weights = [0], [], []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        targets = sorted(rnd.sample(others, min(len(others), rnd.choice([0, 0, 1, 2, 3, 5]))))
+        indices += targets
+        weights += [rnd.uniform(1e-3, 10.0) for _ in targets]
+        indptr.append(len(indices))
+    net = normalize(AssociativeNetwork(parse_relation("cite"), ids, indptr, indices, weights))
+    records = []
+    for node in ids:
+        props = {}
+        for mu in ("auth", "jour", "key"):
+            if rnd.random() < 0.6:  # else the record lacks mu; an empty set also holds none
+                props[mu] = frozenset(rnd.sample("uvwx", rnd.randint(0, 3)))
+        records.append(ResourceRecord(node, props))
+    cfg = PropagationConfig(
+        delta=draw(st.sampled_from([0.0, 0.15, 1.0])),
+        max_steps=draw(st.integers(1, 40)),
+        energy_floor=draw(st.sampled_from([0.0, 1e-4, 50.0])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return net, Repository(records), cfg
+
+
+class TestMatchesReference:
+    """propagate's per-tick array step against the per-particle scalar loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_random_networks(self, case):
+        net, repo, cfg = case
+        assert exact(propagate(net, repo, cfg)) == exact(reference_propagate(net, repo, cfg))
+
+    def test_rows_summing_to_half(self):
+        # each spoke's two out-weights sum to 0.5, so a draw in [0.5, 1) runs
+        # past the row and min(k, hi - 1) sends it to the row's last edge, "b"
+        spokes = [f"s{i:04d}" for i in range(2_000)]
+        n = len(spokes)
+        net = AssociativeNetwork(
+            parse_relation("cite"),
+            ["a", "b"] + spokes,
+            [0, 0] + [2 * i for i in range(n + 1)],
+            [0, 1] * n,
+            [0.25, 0.25] * n,
+            normalized=True,
+        )
+        repo = Repository(
+            [make_record("a", {}), make_record("b", {})]
+            + [make_record(s, {"tag": [s]}) for s in spokes]
+        )
+        cfg = PropagationConfig(max_steps=3, seed=8)
+        result = propagate(net, repo, cfg)
+        assert exact(result) == exact(reference_propagate(net, repo, cfg))
+        assert result.frozen == n + 2  # everyone is at a dead end from tick 2
+        assert abs(len(result.store.entry("b", "tag")) / n - 0.75) < 0.03
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_no_edges(self, n):
+        ids = [f"n{i}" for i in range(n)]
+        net = AssociativeNetwork(parse_relation("cite"), ids, [0] * (n + 1), [], [], normalized=True)
+        repo = Repository([make_record(node, {"key": [node]}) for node in ids])
+        cfg = PropagationConfig(seed=1)
+        assert exact(propagate(net, repo, cfg)) == exact(reference_propagate(net, repo, cfg))
