@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -211,6 +212,15 @@ def _job(args):
     return (mu_y, mu_x, d_idx, run), ("ok", value)
 
 
+def _outcome(future: Future, args):
+    """A pooled job's result; a job lost with a dead worker process becomes
+    an error marker that names the cause."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return args[:4], ("err", f"worker process died: {exc!r}")
+
+
 def run_experiment(
     repo: Repository,
     cfg: ExperimentConfig,
@@ -219,7 +229,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Full grid: for each (mu_y, mu_x, density, run), atrophy and propagate
     once, then score every percentile.  Networks are built once per mu_y
-    from the full repository.  Results are independent of ``workers``."""
+    from the full repository.  Results are independent of ``workers``; a
+    job whose worker process dies is reported as a ``CellError``."""
     networks: Dict[str, AssociativeNetwork] = {}
     errors: List[CellError] = []
     jobs = []
@@ -245,7 +256,8 @@ def run_experiment(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(networks, repo)
         ) as pool:
-            outcomes = list(pool.map(_job, jobs, chunksize=1))
+            futures = [pool.submit(_job, args) for args in jobs]
+            outcomes = [_outcome(future, args) for future, args in zip(futures, jobs)]
     else:
         _init_worker(networks, repo)
         outcomes = [_job(args) for args in jobs]

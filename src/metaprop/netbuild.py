@@ -295,8 +295,9 @@ def build_cooccurrence(
     incidence = scipy.sparse.csr_matrix(
         (np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, len(value_ids))
     )
-    shared = incidence @ incidence.T
-    shared.sort_indices()
+    # S is symmetric, so S's CSC arrays are its CSR arrays, and CSC
+    # conversion leaves each row's indices sorted with no separate sort
+    shared = (incidence @ incidence.T).tocsc().T
     src = np.repeat(np.arange(n, dtype=np.int32), np.diff(shared.indptr))
     off_diagonal = shared.indices != src
     src = src[off_diagonal]
@@ -311,13 +312,18 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
 
     Each row is divided by its total, summed in destination order.  Nodes
     without outgoing edges are unchanged.  Normalizing an already normalized
-    network is an error.
+    network, or one with a row total past the largest float, is an error.
     """
     if net.normalized:
         raise AlreadyNormalizedError(f"network {net.relation.label!r} is already normalized")
     degree = np.diff(net.indptr)
     nonempty = degree > 0
-    totals = _row_cumsum(net.indptr, net.weights)[net.indptr[1:][nonempty] - 1]
+    with np.errstate(over="ignore"):  # an overflowing row is reported below
+        totals = _row_cumsum(net.indptr, net.weights)[net.indptr[1:][nonempty] - 1]
+    overflow = np.flatnonzero(totals == np.inf)
+    if overflow.size:
+        node = net.ids[np.flatnonzero(nonempty)[overflow[0]]]
+        raise ValueError(f"out-weights of {node!r} sum past the largest float")
     weights = net.weights / np.repeat(totals, degree[nonempty])
     return AssociativeNetwork(
         net.relation, net.ids, net.indptr, net.indices, weights,

@@ -9,22 +9,27 @@ the new node for each property the node holds no values of.  All live
 particles share the energy (1 - delta)^t, so the loop keeps one scalar.
 Particles that hit a dead end freeze and never act again.
 
-A tick works on arrays of the live particles: their draws are taken in one
-pass, one vectorized bisection over ``net.cum`` finds every move, and only
-the particles that reach a node missing a property they carry deposit.
-Every deposit in a tick carries the same energy, so the order of deposits
-within a tick cannot change any sum; each (node, property) still receives
-its values in ascending home order, as a per-particle loop would add them.
+Each particle's substream is MT19937 seeded by ``init_by_array`` over the
+32-bit words of ``derive_seed(seed, home id)``, bit-identical to
+``random.Random`` with that seed.  All particles' generators run at once, as
+one (624, n) uint32 state whose draws come in blocks of up to 312 ticks.
+
+A tick works on arrays of the live particles: their draws are one row of
+the block, one vectorized bisection over ``net.cum`` finds every move, and
+only the particles that reach a node missing a property they carry deposit.
+Deposits are kept as (node, value) keys per tick and summed at the end with
+``np.add.at`` in event order, so each sum is the same float that adding the
+energies one by one gives, and each (node, property) entry lists its values
+in first-deposit order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import random
 from dataclasses import dataclass
-from itertools import compress
-from typing import Dict, Mapping, Tuple
+from itertools import chain, compress
+from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -110,6 +115,90 @@ class PropagationResult:
         )
 
 
+# MT19937 as random.Random runs it, for many seeds at once: column j of a
+# (624, n) uint32 state is the generator random.Random(seeds[j]) holds.
+_N, _M = 624, 397
+_UPPER, _LOWER, _MATRIX_A = 0x80000000, 0x7FFFFFFF, 0x9908B0DF
+_BLOCK_DRAWS = _N // 2  # random() takes two 32-bit words per double
+
+
+def _init_genrand(s: int) -> np.ndarray:
+    mt = [s]
+    for i in range(1, _N):
+        mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xFFFFFFFF)
+    return np.array(mt, dtype=np.uint32)
+
+
+_INIT_BY_ARRAY_START = _init_genrand(19650218)  # the same for every key
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """The (624, n) states random.Random(seed) holds after seeding, for each
+    uint64 seed: ``init_by_array`` over the seed's 32-bit words, low word
+    first, as a run of in-place row operations over all seeds at once."""
+    seeds = seeds.astype(np.uint64)
+    low = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    # step k adds key[j] + j with j = k mod the key's length; a seed below
+    # 2**32, 0 included, is a one-word key, so it adds its low word every step
+    added = (low, np.where(high != 0, high + np.uint32(1), low))
+    mt = np.repeat(_INIT_BY_ARRAY_START[:, None], len(seeds), axis=1)
+    mixed = np.empty(len(seeds), dtype=np.uint32)
+    i = 1
+    for k in range(2 * _N - 1):  # init_by_array's two loops, of 624 and 623 steps
+        first = k < _N
+        prev, row = mt[i - 1], mt[i]
+        np.right_shift(prev, 30, out=mixed)
+        np.bitwise_xor(mixed, prev, out=mixed)
+        np.multiply(mixed, np.uint32(1664525 if first else 1566083941), out=mixed)
+        np.bitwise_xor(row, mixed, out=row)
+        if first:
+            np.add(row, added[k & 1], out=row)
+        else:
+            np.subtract(row, np.uint32(i), out=row)
+        i += 1
+        if i == _N:
+            mt[0] = mt[_N - 1]
+            i = 1
+    mt[0] = _UPPER
+    return mt
+
+
+def _twist(mt: np.ndarray, rows: int) -> None:
+    """Regenerate the state's first ``rows`` words in place, as the
+    generator does once all 624 are used; fewer than 624 leaves a state
+    that must not be twisted again."""
+    # word k reads word k + 397 (mod 624): words 0-226 read old words,
+    # 227-453 read words 0-226 just rewritten, 454-622 read 227-395
+    for lo, hi in ((0, _N - _M), (_N - _M, 2 * (_N - _M)), (2 * (_N - _M), _N - 1)):
+        hi = min(hi, rows)
+        if lo >= hi:
+            return
+        src = (lo + _M) % _N
+        y = (mt[lo:hi] & _UPPER) | (mt[lo + 1 : hi + 1] & _LOWER)
+        mt[lo:hi] = mt[src : src + hi - lo] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
+    if rows == _N:  # the last word wraps round to the rewritten word 0
+        y = (mt[_N - 1] & _UPPER) | (mt[0] & _LOWER)
+        mt[_N - 1] = mt[_M - 1] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
+
+
+def _draw_blocks(seeds: np.ndarray, count: int) -> Iterator[np.ndarray]:
+    """The first ``count`` values of random.Random(seed).random() for every
+    seed, as float64 blocks of shape (ticks, len(seeds)) with at most 312
+    rows: row t of a block holds each seed's t-th draw of that block."""
+    mt = _seed_states(seeds)
+    while count > 0:
+        ticks = min(count, _BLOCK_DRAWS)
+        _twist(mt, 2 * ticks)  # only the words these draws use
+        y = mt[: 2 * ticks] ^ (mt[: 2 * ticks] >> 11)
+        y ^= (y << 7) & 0x9D2C5680
+        y ^= (y << 15) & 0xEFC60000
+        y ^= y >> 18
+        # genrand_res53: a 27-bit and a 26-bit word make one 53-bit double
+        yield ((y[0::2] >> 5) * 67108864.0 + (y[1::2] >> 6)) / 9007199254740992.0
+        count -= ticks
+
+
 def propagate(
     net: AssociativeNetwork, repo: Repository, cfg: PropagationConfig
 ) -> PropagationResult:
@@ -124,8 +213,10 @@ def propagate(
         raise NotNormalizedError("network must be normalized before propagation")
     ids = net.ids  # sorted, so particle (and node) i is the i-th id
     n = len(ids)
-    columns: Dict[str, list] = {}  # property -> each node's sorted values, or None
-    rngs = []  # each live particle's substream, aligned with live
+    columns: Dict[str, list] = {}  # property -> each node's values, or None
+    prefix = hashlib.blake2b(digest_size=8)  # derive_seed(cfg.seed, node) up to the node
+    prefix.update(str(cfg.seed).encode("utf-8") + b"\x1f")
+    digests = []
     for i, node in enumerate(ids):
         if node not in repo:
             raise UnknownResourceError(node)
@@ -134,18 +225,33 @@ def propagate(
                 column = columns.get(mu)
                 if column is None:
                     column = columns[mu] = [None] * n
-                column[i] = sorted(values)
-        rngs.append(random.Random(derive_seed(cfg.seed, node)))
-    # (mu, holds-mu mask over nodes, values) in property order; a property
-    # every node holds has no metadata-poor node to deposit at
+                column[i] = values
+        h = prefix.copy()
+        h.update(node.encode("utf-8"))
+        digests.append(h.digest())
+    seeds = np.frombuffer(b"".join(digests), dtype=">u8")
+    # (mu, holds-mu mask over nodes, value names, CSR of each node's value
+    # numbers in name order) in property order; a property every node holds
+    # has no metadata-poor node to deposit at
     payload = []
     for mu in sorted(columns):
-        held = np.fromiter((v is not None for v in columns[mu]), dtype=bool, count=n)
-        if not held.all():
-            payload.append((mu, held, columns[mu]))
-    store = RecommendationStore()
+        column = columns[mu]
+        held = np.fromiter((v is not None for v in column), dtype=bool, count=n)
+        if held.all():
+            continue
+        holders = list(compress(column, held.tolist()))
+        names = sorted(set().union(*holders))
+        number = {x: k for k, x in enumerate(names)}
+        numbered = [sorted(map(number.__getitem__, v)) for v in holders]
+        counts = np.zeros(n, dtype=np.int64)
+        counts[held] = [len(v) for v in numbered]
+        value_ptr = np.concatenate(([0], np.cumsum(counts)))
+        value_ids = np.fromiter(chain.from_iterable(numbered), dtype=np.int64, count=value_ptr[-1])
+        payload.append((mu, held, names, value_ptr, value_ids))
+    deposits = [[] for _ in payload]  # per property, each tick's (keys, energy)
     keep = 1.0 - cfg.delta
     indptr, indices, cum = net.indptr, net.indices, net.cum
+    blocks = _draw_blocks(seeds, cfg.max_steps)
     live = np.arange(n)  # homes of the non-frozen particles, ascending
     at = live  # each live particle's current node
     energy = 1.0
@@ -154,39 +260,66 @@ def propagate(
         # a sequential sum: energy * len(live) may round differently
         if sum([energy] * len(live)) <= cfg.energy_floor:
             break
+        if t % _BLOCK_DRAWS == 0:
+            block = next(blocks)
+        row = block[t % _BLOCK_DRAWS]  # each particle's t-th draw
         t += 1
         energy *= keep
         lo, hi = indptr[at], indptr[at + 1]
         moves = lo < hi
         if not moves.all():  # dead ends: those particles freeze, drawing nothing
             live, lo, hi = live[moves], lo[moves], hi[moves]
-            rngs = list(compress(rngs, moves.tolist()))
-        draws = np.fromiter(map(random.Random.random, rngs), dtype=np.float64, count=len(rngs))
+        draws = row[live]
         # bisect_right over each row of cum: the first edge whose cumulative
-        # weight exceeds the draw
-        last = hi - 1
-        while (open_ := lo < hi).any():
-            mid = (lo + hi) >> 1
-            left = draws < cum.take(mid, mode="clip")
-            hi = np.where(open_ & left, mid, hi)
-            lo = np.where(open_ & ~left, mid + 1, lo)
+        # weight exceeds the draw lies in [base, base + size]
+        base, size = lo, hi - lo
+        for _ in range(int(size.max(initial=1) - 1).bit_length()):
+            half = size >> 1
+            mid = base + half
+            base = np.where(cum.take(mid) <= draws, mid, base)
+            size -= half
+        base += cum.take(base) <= draws
         # min() keeps a draw above a row total that falls short of 1.0 on the row
-        at = indices[np.minimum(lo, last)]
-        # events in ascending home order per property (see the module
-        # docstring); a particle back home never deposits, since its home
-        # holds every property it carries
-        for mu, held, values in payload:
+        at = indices[np.minimum(base, hi - 1)]
+        # a particle back home never deposits, since its home holds every
+        # property it carries
+        for (mu, held, names, value_ptr, value_ids), ticks in zip(payload, deposits):
             hit = np.flatnonzero(held[live] & ~held[at])
-            for home, node in zip(live[hit].tolist(), at[hit].tolist()):
-                node_id = ids[node]
-                for x in values[home]:
-                    store.add(node_id, mu, x, energy)
+            if hit.size:
+                homes = live[hit]
+                start, counts = value_ptr[homes], value_ptr[homes + 1] - value_ptr[homes]
+                # each hit's value numbers, in ascending home order
+                offsets = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+                ticks.append((np.repeat(at[hit] * len(names), counts) + value_ids[offsets], energy))
+    store = RecommendationStore()
+    for (mu, _, names, _, _), ticks in zip(payload, deposits):
+        if ticks:
+            _sum_deposits(store, ids, mu, names, ticks)
     return PropagationResult(
         store=store,
         ticks=t,
         frozen=n - len(live),
         residual_energy=sum([energy] * len(live)),
     )
+
+
+def _sum_deposits(store: RecommendationStore, ids, mu: str, names, ticks) -> None:
+    """Sum one property's deposits, given per tick as (node * len(names) +
+    value number keys, energy), into ``store``, each entry's values in
+    first-deposit order."""
+    keys = np.concatenate([k for k, _ in ticks])
+    energies = np.repeat([e for _, e in ticks], [len(k) for k, _ in ticks])
+    distinct, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    totals = np.zeros(len(distinct))
+    np.add.at(totals, which, energies)  # one by one in event order, as entry[x] + e adds
+    nodes, values = np.divmod(distinct, len(names))
+    order = np.lexsort((first, nodes))
+    nodes = nodes[order]
+    starts = np.flatnonzero(np.diff(nodes, prepend=-1)).tolist()
+    value_names = np.array(names, dtype=object)[values[order]].tolist()
+    totals = totals[order].tolist()
+    for node, lo, hi in zip(nodes[starts].tolist(), starts, starts[1:] + [len(nodes)]):
+        store._entries[(ids[node], mu)] = dict(zip(value_names[lo:hi], totals[lo:hi]))
 
 
 def save_store(store: RecommendationStore, destination) -> None:

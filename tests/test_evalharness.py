@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -250,6 +252,32 @@ class TestRunExperiment:
         monkeypatch.setattr(evalharness, "propagate", propagate)
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(two_cluster_corpus(n_records=20, seed=0), _small_cfg(), workers=1)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="pool workers inherit the patched job only when forked",
+    )
+    def test_dead_worker_becomes_cell_errors(self, monkeypatch):
+        run_cell_once = evalharness._run_cell_once
+
+        def dies_at_021(net, repo, mu_x, density, *rest):
+            if density == 0.21:
+                os._exit(1)
+            return run_cell_once(net, repo, mu_x, density, *rest)
+
+        monkeypatch.setattr(evalharness, "_run_cell_once", dies_at_021)
+        cfg = _small_cfg(densities=(0.21, 0.61), runs=3)
+        result = run_experiment(two_cluster_corpus(n_records=20, seed=0), cfg, workers=2)
+        assert result.errors
+        for e in result.errors:
+            assert e.message.startswith("worker process died: BrokenProcessPool(")
+        # every job is either averaged into its cell's rows or reported lost
+        averaged = {r.density: r.runs_averaged for r in result.rows}
+        assert 0.21 not in averaged
+        for density in cfg.densities:
+            lost = sorted(e.run for e in result.errors if e.density == density)
+            assert averaged.get(density, 0) + len(lost) == cfg.runs
+            assert len(set(lost)) == len(lost)
 
 
 class TestResultsIO:

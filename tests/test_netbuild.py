@@ -230,6 +230,14 @@ class TestNormalize:
         with pytest.raises(AlreadyNormalizedError):
             normalize(normed)
 
+    def test_overflowing_row_total_is_an_error(self):
+        big = np.finfo(np.float64).max * 0.75
+        net = AssociativeNetwork(
+            Relation(COOCCURRENCE, "key"), ["a", "b", "c"], [0, 0, 2, 2], [0, 2], [big, big]
+        )
+        with np.errstate(over="raise"), pytest.raises(ValueError, match="out-weights of 'b' sum past"):
+            normalize(net)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_sequential_loop(self, seed):
         # reference: the scalar loops the array code replaced, compared bit
@@ -472,7 +480,7 @@ def networks(draw):
     if draw(st.booleans()):
         try:
             net = normalize(net)
-        except ValueError:  # a weight underflowed to 0 against its row total
+        except ValueError:  # a row total overflowed, or a weight underflowed to 0 against it
             pass
     return net
 

@@ -1,6 +1,7 @@
 import bisect
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from metaprop.swarm import (
     PropagationConfig,
     PropagationResult,
     RecommendationStore,
+    _draw_blocks,
     derive_seed,
     load_store,
     propagate,
@@ -436,6 +438,27 @@ class TestMatchesReference:
         assert result.frozen == n + 2  # everyone is at a dead end from tick 2
         assert abs(len(result.store.entry("b", "tag")) / n - 0.75) < 0.03
 
+    @pytest.mark.parametrize("seed,steps", [(0, 313), (1, 640), (2, 950)])
+    def test_walks_past_a_draw_block(self, seed, steps):
+        # no dead ends, no decay and no floor: every particle draws once per
+        # tick, so each substream runs past 312 draws into a second block
+        rnd = random.Random(seed)
+        ids = [f"n{i:02d}" for i in range(30)]
+        indptr, indices, weights = [0], [], []
+        for i in range(len(ids)):
+            targets = sorted(rnd.sample([j for j in range(len(ids)) if j != i], 3))
+            indices += targets
+            weights += [rnd.uniform(0.1, 1.0) for _ in targets]
+            indptr.append(len(indices))
+        net = normalize(AssociativeNetwork(parse_relation("cite"), ids, indptr, indices, weights))
+        repo = Repository(
+            [make_record(node, {"key": [f"k{i % 4}"]} if i % 3 else {}) for i, node in enumerate(ids)]
+        )
+        cfg = PropagationConfig(delta=0.0, max_steps=steps, energy_floor=0.0, seed=seed)
+        result = propagate(net, repo, cfg)
+        assert (result.ticks, result.frozen) == (steps, 0)
+        assert exact(result) == exact(reference_propagate(net, repo, cfg))
+
     @pytest.mark.parametrize("n", [0, 3])
     def test_no_edges(self, n):
         ids = [f"n{i}" for i in range(n)]
@@ -443,3 +466,45 @@ class TestMatchesReference:
         repo = Repository([make_record(node, {"key": [node]}) for node in ids])
         cfg = PropagationConfig(seed=1)
         assert exact(propagate(net, repo, cfg)) == exact(reference_propagate(net, repo, cfg))
+
+
+# seeds that derive_seed can return: 64-bit ones, one-word keys below 2**32
+# (0 included) and the edges where the key length changes
+SEEDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]),
+)
+
+
+def reference_draws(seeds, count):
+    """Each seed's first ``count`` random.Random(seed).random() draws, one
+    column per seed."""
+    columns = []
+    for seed in seeds:
+        rnd = random.Random(seed)
+        columns.append([rnd.random() for _ in range(count)])
+    return np.array(columns).T
+
+
+def batched_draws(seeds, count):
+    blocks = list(_draw_blocks(np.array(seeds, dtype=np.uint64), count))
+    assert [len(b) for b in blocks[:-1]] == [312] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= 312
+    return np.concatenate(blocks)
+
+
+class TestBatchedGenerator:
+    """The walk's batched MT19937 against random.Random, draw for draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(SEEDS, min_size=1, max_size=6), st.integers(1, 1400))
+    def test_matches_random(self, seeds, count):
+        assert batched_draws(seeds, count).tolist() == reference_draws(seeds, count).tolist()
+
+    def test_five_blocks_with_mixed_key_lengths(self):
+        # 1,250 draws take four full twists and a partial one; one- and
+        # two-word keys share a batch
+        seeds = [0, 7, 2**32 - 1, 2**32, 2**64 - 1] + [derive_seed(3, f"n{i}") for i in range(5)]
+        assert batched_draws(seeds, 1250).tolist() == reference_draws(seeds, 1250).tolist()
+
