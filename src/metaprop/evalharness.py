@@ -2,6 +2,14 @@
 propagate over a chosen network, accept recommendations by per-node energy
 percentile, and score precision/recall/F against the removed ground truth
 over a (density x percentile) grid averaged across repeated runs.
+
+``kill_meta``, ``swarm.propagate`` and ``accept_meta`` define what a grid job
+scores.  The job does the same work once per run: the target property's
+holders and values are numbered once per grid, atrophy is a mask over node
+numbers, the walk carries only the target property from the nodes that
+keep it to the atrophied ones, and every percentile's threshold is read
+from one sort of the summed deposits.  Sums of floats run left to right,
+so results bytes do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -10,8 +18,10 @@ import math
 import random
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .netbuild import (
     COOCCURRENCE,
@@ -22,7 +32,16 @@ from .netbuild import (
     parse_relation,
 )
 from .records import Repository, ResourceRecord
-from .swarm import PropagationConfig, RecommendationStore, derive_seed, propagate
+from .swarm import (
+    PropagationConfig,
+    RecommendationStore,
+    _deposit_totals,
+    _node_seeds,
+    _numbered_values,
+    _sequential_sum,
+    _walk,
+    derive_seed,
+)
 
 DEFAULT_DENSITIES = (0.01, 0.21, 0.41, 0.61, 0.81)
 DEFAULT_PERCENTILES = tuple(round(i / 10, 1) for i in range(11))
@@ -85,17 +104,29 @@ class ExperimentResult:
     errors: List[CellError]
 
 
+def _atrophy_pick(size: int, eligible: list, fraction: float, rng: random.Random) -> list:
+    """The members of ``eligible`` (the holders of the atrophied property,
+    in id order) that lose it: floor(fraction * size) of them for a
+    repository of ``size`` records, at most all, drawn by one
+    ``rng.sample``.  The draw depends only on the positions in
+    ``eligible``, so ids and node numbers pick the same records."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    count = min(math.floor(fraction * size), len(eligible))
+    return rng.sample(eligible, count)
+
+
 def kill_meta(
     repo: Repository, fraction: float, mu_x: str, rng: random.Random
 ) -> Tuple[Repository, AtrophyOutcome]:
     """Empty the ``mu_x`` value sets of floor(fraction * |repo|) resources
     chosen uniformly among those that have any; everything else untouched.
-    Returns the atrophied repository and the removed ground truth."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    Returns the atrophied repository and the removed ground truth.
+
+    With ``propagate`` and ``accept_meta``, this defines what a grid job
+    scores; the job itself atrophies a node mask drawn by the same pick."""
     eligible = [rid for rid in repo.ids() if repo.meta(rid, mu_x)]
-    count = min(math.floor(fraction * len(repo)), len(eligible))
-    chosen = set(rng.sample(eligible, count))
+    chosen = set(_atrophy_pick(len(repo), eligible, fraction, rng))
     truth: Dict[Tuple[str, str], FrozenSet[str]] = {}
     records = []
     for rec in repo:
@@ -113,7 +144,10 @@ def accept_meta(
 ) -> Dict[Tuple[str, str], FrozenSet[str]]:
     """Per (node, property) entry, accept every value whose energy is at or
     above the nearest-rank rho-quantile of that entry's own energies.
-    rho=0 accepts everything; rho=1 accepts the max-energy tie set."""
+    rho=0 accepts everything; rho=1 accepts the max-energy tie set.
+
+    This defines what a grid job accepts; the job reads every rho's
+    threshold from one sort of its scored entries instead."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     accepted: Dict[Tuple[str, str], FrozenSet[str]] = {}
@@ -157,45 +191,83 @@ def build_relation_network(
     return normalize(net)
 
 
+class _Target(NamedTuple):
+    """One target property over the repository's records in id order, which
+    is the node order of every network built from it."""
+
+    holders: List[int]  # numbers of the records that hold the property
+    holds: np.ndarray  # the same, as a mask
+    names: List[str]  # the property's values, sorted
+    value_ptr: np.ndarray  # each record's value numbers in CSR form
+    value_ids: np.ndarray
+
+
+def _target(repo: Repository, mu_x: str) -> _Target:
+    holds, names, value_ptr, value_ids = _numbered_values([rec.values(mu_x) or None for rec in repo])
+    return _Target(np.flatnonzero(holds).tolist(), holds, names, value_ptr, value_ids)
+
+
 def _run_cell_once(
     net: AssociativeNetwork,
-    repo: Repository,
-    mu_x: str,
+    target: _Target,
     density: float,
     percentiles: Sequence[float],
     prop_cfg: PropagationConfig,
     seed: int,
 ) -> Tuple[Dict[float, Tuple[float, float, float]], int]:
     """One atrophy+propagate run; returns per-rho (precision, recall, F)
-    macro-averages over the atrophied nodes, plus how many were scored."""
+    macro-averages over the atrophied nodes, plus how many were scored.
+
+    Equal to ``kill_meta``, then ``propagate`` and ``accept_meta`` at each
+    rho, scored node by node: the walk carries only the target property,
+    from the nodes that keep it to the atrophied ones, so it records
+    exactly the deposits that are scored, summed as the store sums them."""
     rng = random.Random(seed)
-    atrophied_repo, outcome = kill_meta(repo, 1.0 - density, mu_x, rng)
-    result = propagate(net, atrophied_repo, replace(prop_cfg, seed=seed))
-    scored = sorted(outcome.atrophied_ids)
+    n = len(net.ids)
+    atrophied = np.zeros(n, dtype=bool)
+    atrophied[_atrophy_pick(n, target.holders, 1.0 - density, rng)] = True
+    n_values = len(target.names)
+    payload = (target.holds & ~atrophied, atrophied, target.value_ptr, target.value_ids, n_values)
+    (ticks,), _, _, _ = _walk(net, _node_seeds(net.ids, seed), prop_cfg, [payload])
+    keys, _, totals = _deposit_totals(ticks)
+    truth_sizes = np.diff(target.value_ptr)
+    truth_keys = np.repeat(np.arange(n) * n_values, truth_sizes) + target.value_ids
+    # every entry by node, then energy: an entry's accepted values at rho
+    # run from the start of its threshold's tie group to the entry's end
+    nodes = keys // max(n_values, 1)
+    order = np.lexsort((totals, nodes))
+    keys, nodes, energies = keys[order], nodes[order], totals[order]
+    new_tie = np.diff(nodes, prepend=-1) != 0
+    starts = np.flatnonzero(new_tie)
+    ends = np.flatnonzero(np.diff(nodes, append=-1)) + 1
+    sizes = ends - starts
+    new_tie[1:] |= energies[1:] != energies[:-1]
+    tie_start = np.maximum.accumulate(np.where(new_tie, np.arange(len(keys)), 0))
+    hits_before = np.concatenate(([0], np.cumsum(np.isin(keys, truth_keys))))
+    entry_truth = truth_sizes[nodes[starts]]
+    scored = int(atrophied.sum())
     per_rho: Dict[float, Tuple[float, float, float]] = {}
     for rho in percentiles:
-        accepted_map = accept_meta(result.store, rho)
-        pr_sum, pr_n, re_sum = 0.0, 0, 0.0
-        for rid in scored:
-            truth = outcome.ground_truth[(rid, mu_x)]
-            acc = accepted_map.get((rid, mu_x), frozenset())
-            if acc:
-                pr_sum += precision(truth, acc)
-                pr_n += 1
-            re_sum += recall(truth, acc)
-        pr = pr_sum / pr_n if pr_n else 0.0
-        re = re_sum / len(scored) if scored else 0.0
+        rank = np.maximum(1, np.ceil(rho * sizes)).astype(np.int64)
+        first = tie_start[starts + rank - 1]
+        hits = hits_before[ends] - hits_before[first]
+        # nodes without an entry accept nothing: no precision term, and a
+        # recall term of 0.0, which leaves a left-to-right sum unchanged
+        pr_sum = _sequential_sum(hits / (ends - first))
+        re_sum = _sequential_sum(hits / entry_truth)
+        pr = pr_sum / len(starts) if len(starts) else 0.0
+        re = re_sum / scored if scored else 0.0
         per_rho[rho] = (pr, re, f_score(pr, re))
-    return per_rho, len(scored)
+    return per_rho, scored
 
 
-# networks and repo are shipped to workers once, at pool start, not per job
+# networks and targets are shipped to workers once, at pool start, not per job
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _init_worker(networks, repo):
+def _init_worker(networks, targets):
     _WORKER_STATE["networks"] = networks
-    _WORKER_STATE["repo"] = repo
+    _WORKER_STATE["targets"] = targets
 
 
 def _job(args):
@@ -204,9 +276,9 @@ def _job(args):
     while any other exception is a program bug and raises."""
     mu_y, mu_x, d_idx, run, density, percentiles, prop_cfg, seed = args
     net = _WORKER_STATE["networks"][mu_y]
-    repo = _WORKER_STATE["repo"]
+    target = _WORKER_STATE["targets"][mu_x]
     try:
-        value = _run_cell_once(net, repo, mu_x, density, percentiles, prop_cfg, seed)
+        value = _run_cell_once(net, target, density, percentiles, prop_cfg, seed)
     except ValueError as exc:
         return (mu_y, mu_x, d_idx, run), ("err", str(exc))
     return (mu_y, mu_x, d_idx, run), ("ok", value)
@@ -232,6 +304,7 @@ def run_experiment(
     from the full repository.  Results are independent of ``workers``; a
     job whose worker process dies is reported as a ``CellError``."""
     networks: Dict[str, AssociativeNetwork] = {}
+    targets = {mu_x: _target(repo, mu_x) for mu_x in cfg.target_properties}
     errors: List[CellError] = []
     jobs = []
     for mu_y in cfg.network_relations:
@@ -254,12 +327,12 @@ def run_experiment(
     results: Dict[Tuple[str, str, int, int], Tuple[dict, int]] = {}
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(networks, repo)
+            max_workers=workers, initializer=_init_worker, initargs=(networks, targets)
         ) as pool:
             futures = [pool.submit(_job, args) for args in jobs]
             outcomes = [_outcome(future, args) for future, args in zip(futures, jobs)]
     else:
-        _init_worker(networks, repo)
+        _init_worker(networks, targets)
         outcomes = [_job(args) for args in jobs]
     for (mu_y, mu_x, d_idx, run), (status, value) in outcomes:
         if status == "ok":
@@ -292,9 +365,9 @@ def run_experiment(
                             mu_x=mu_x,
                             density=density,
                             percentile=rho,
-                            precision=sum(prs) / len(prs),
-                            recall=sum(res) / len(res),
-                            f_score=sum(fs) / len(fs),
+                            precision=_sequential_sum(prs) / len(prs),
+                            recall=_sequential_sum(res) / len(res),
+                            f_score=_sequential_sum(fs) / len(fs),
                             f_score_max=max(fs),
                             runs_averaged=len(run_keys),
                             nodes_scored=n_scored,
@@ -378,7 +451,7 @@ def pair_summaries(rows: Sequence[MetricsRow]) -> Dict[Tuple[str, str], Tuple[fl
     out = {}
     for key, cells in sorted(grouped.items()):
         fs = [c.f_score for c in cells]
-        out[key] = (max(fs), sum(fs) / len(fs), cells[0].anomalous)
+        out[key] = (max(fs), _sequential_sum(fs) / len(fs), cells[0].anomalous)
     return out
 
 

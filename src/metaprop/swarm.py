@@ -1,13 +1,14 @@
 """Discrete particle spreading activation over an associative network.
 
-``propagate`` is one tick loop.  Every node seeds one particle carrying its
-home's non-empty metadata and energy 1.0.  Each tick every live particle
-moves to a neighbor sampled from its node's normalized outgoing weights (one
-draw from the home's own RNG substream), its energy is multiplied by
-(1 - delta), and it deposits its payload values, weighted by that energy, at
-the new node for each property the node holds no values of.  All live
-particles share the energy (1 - delta)^t, so the loop keeps one scalar.
-Particles that hit a dead end freeze and never act again.
+The walk is one tick loop, ``_walk``; ``propagate`` sets it up from a
+repository and fills a store from its deposits.  Every node seeds one
+particle carrying its home's non-empty metadata and energy 1.0.  Each tick
+every live particle moves to a neighbor sampled from its node's normalized
+outgoing weights (one draw from the home's own RNG substream), its energy is
+multiplied by (1 - delta), and it deposits its payload values, weighted by
+that energy, at the new node for each property the node holds no values of.
+All live particles share the energy (1 - delta)^t, so the loop keeps one
+scalar.  Particles that hit a dead end freeze and never act again.
 
 Each particle's substream is MT19937 seeded by ``init_by_array`` over the
 32-bit words of ``derive_seed(seed, home id)``, bit-identical to
@@ -17,10 +18,15 @@ one (624, n) uint32 state whose draws come in blocks of up to 312 ticks.
 A tick works on arrays of the live particles: their draws are one row of
 the block, one vectorized bisection over ``net.cum`` finds every move, and
 only the particles that reach a node missing a property they carry deposit.
-Deposits are kept as (node, value) keys per tick and summed at the end with
-``np.add.at`` in event order, so each sum is the same float that adding the
-energies one by one gives, and each (node, property) entry lists its values
-in first-deposit order.
+The loop itself takes, per property, a mask of the nodes whose particles
+carry it and a mask of the nodes that receive it; ``propagate`` passes the
+holders and the rest, and the evaluation grid passes the nodes that keep a
+property and the ones it was removed from.  Deposits are kept as (node,
+value) keys per tick and summed at the end with ``np.add.at`` in event
+order, so each sum is the same float that adding the energies one by one
+gives, and each (node, property) entry lists its values in first-deposit
+order.  Every other float sum here is left to right too, never built-in
+``sum``, whose rounding changed in Python 3.12.
 """
 
 from __future__ import annotations
@@ -199,6 +205,46 @@ def _draw_blocks(seeds: np.ndarray, count: int) -> Iterator[np.ndarray]:
         count -= ticks
 
 
+def _sequential_sum(values) -> float:
+    """0.0 plus each value in turn, left to right: the float a ``+=`` loop
+    gives.  From Python 3.12 on, built-in ``sum`` rounds floats with
+    compensated summation, so it can return another float for the same
+    values; results bytes must not depend on the Python version."""
+    # cumsum adds strictly in order, where np.sum adds pairwise
+    partial = np.cumsum(np.asarray(values, dtype=np.float64))
+    return 0.0 + float(partial[-1]) if partial.size else 0.0
+
+
+def _node_seeds(ids, seed: int) -> np.ndarray:
+    """``derive_seed(seed, node)`` for every node, as uint64s: the hash of
+    the seed and separator is taken once and copied per node."""
+    prefix = hashlib.blake2b(digest_size=8)
+    prefix.update(str(seed).encode("utf-8") + b"\x1f")
+    digests = []
+    for node in ids:
+        h = prefix.copy()
+        h.update(node.encode("utf-8"))
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype=">u8")
+
+
+def _numbered_values(column: list) -> Tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+    """One property given as each node's value set, or None where the node
+    holds none: the holds-it mask over nodes, the sorted value names, and
+    each node's value numbers in name order as CSR (value_ptr, value_ids)."""
+    n = len(column)
+    held = np.fromiter((v is not None for v in column), dtype=bool, count=n)
+    holders = list(compress(column, held.tolist()))
+    names = sorted(set().union(*holders))
+    number = {x: k for k, x in enumerate(names)}
+    numbered = [sorted(map(number.__getitem__, v)) for v in holders]
+    counts = np.zeros(n, dtype=np.int64)
+    counts[held] = [len(v) for v in numbered]
+    value_ptr = np.concatenate(([0], np.cumsum(counts)))
+    value_ids = np.fromiter(chain.from_iterable(numbered), dtype=np.int64, count=value_ptr[-1])
+    return held, names, value_ptr, value_ids
+
+
 def propagate(
     net: AssociativeNetwork, repo: Repository, cfg: PropagationConfig
 ) -> PropagationResult:
@@ -214,9 +260,6 @@ def propagate(
     ids = net.ids  # sorted, so particle (and node) i is the i-th id
     n = len(ids)
     columns: Dict[str, list] = {}  # property -> each node's values, or None
-    prefix = hashlib.blake2b(digest_size=8)  # derive_seed(cfg.seed, node) up to the node
-    prefix.update(str(cfg.seed).encode("utf-8") + b"\x1f")
-    digests = []
     for i, node in enumerate(ids):
         if node not in repo:
             raise UnknownResourceError(node)
@@ -226,29 +269,30 @@ def propagate(
                 if column is None:
                     column = columns[mu] = [None] * n
                 column[i] = values
-        h = prefix.copy()
-        h.update(node.encode("utf-8"))
-        digests.append(h.digest())
-    seeds = np.frombuffer(b"".join(digests), dtype=">u8")
-    # (mu, holds-mu mask over nodes, value names, CSR of each node's value
-    # numbers in name order) in property order; a property every node holds
-    # has no metadata-poor node to deposit at
-    payload = []
-    for mu in sorted(columns):
-        column = columns[mu]
-        held = np.fromiter((v is not None for v in column), dtype=bool, count=n)
-        if held.all():
-            continue
-        holders = list(compress(column, held.tolist()))
-        names = sorted(set().union(*holders))
-        number = {x: k for k, x in enumerate(names)}
-        numbered = [sorted(map(number.__getitem__, v)) for v in holders]
-        counts = np.zeros(n, dtype=np.int64)
-        counts[held] = [len(v) for v in numbered]
-        value_ptr = np.concatenate(([0], np.cumsum(counts)))
-        value_ids = np.fromiter(chain.from_iterable(numbered), dtype=np.int64, count=value_ptr[-1])
-        payload.append((mu, held, names, value_ptr, value_ids))
-    deposits = [[] for _ in payload]  # per property, each tick's (keys, energy)
+    # a property every node holds has no metadata-poor node to deposit at
+    tables = [(mu, *_numbered_values(columns[mu])) for mu in sorted(columns) if None in columns[mu]]
+    payload = [(held, ~held, value_ptr, value_ids, len(names)) for _, held, names, value_ptr, value_ids in tables]
+    deposits, ticks, frozen, residual = _walk(net, _node_seeds(ids, cfg.seed), cfg, payload)
+    store = RecommendationStore()
+    for (mu, _, names, _, _), events in zip(tables, deposits):
+        if events:
+            _fill_store(store, ids, mu, names, events)
+    return PropagationResult(store=store, ticks=ticks, frozen=frozen, residual_energy=residual)
+
+
+def _walk(net: AssociativeNetwork, seeds: np.ndarray, cfg: PropagationConfig, payload: list):
+    """The tick loop, over a normalized network with one particle per node
+    seeded by ``seeds``.  ``payload`` lists each carried property as
+    (carrier mask, receiver mask, value_ptr, value_ids, number of values):
+    a live particle whose home is a carrier deposits its home's values at
+    each receiver it reaches.  The two masks must be disjoint.
+
+    Returns each property's deposits, as one (node * number of values +
+    value number keys, energy) pair per tick that deposited, then the
+    ticks run, the frozen particles and the live particles' summed energy.
+    """
+    n = len(net.ids)
+    deposits = [[] for _ in payload]
     keep = 1.0 - cfg.delta
     indptr, indices, cum = net.indptr, net.indices, net.cum
     blocks = _draw_blocks(seeds, cfg.max_steps)
@@ -257,8 +301,8 @@ def propagate(
     energy = 1.0
     t = 0
     while live.size and t < cfg.max_steps:
-        # a sequential sum: energy * len(live) may round differently
-        if sum([energy] * len(live)) <= cfg.energy_floor:
+        # summed particle by particle: energy * len(live) may round differently
+        if _sequential_sum(np.full(len(live), energy)) <= cfg.energy_floor:
             break
         if t % _BLOCK_DRAWS == 0:
             block = next(blocks)
@@ -281,37 +325,35 @@ def propagate(
         base += cum.take(base) <= draws
         # min() keeps a draw above a row total that falls short of 1.0 on the row
         at = indices[np.minimum(base, hi - 1)]
-        # a particle back home never deposits, since its home holds every
-        # property it carries
-        for (mu, held, names, value_ptr, value_ids), ticks in zip(payload, deposits):
-            hit = np.flatnonzero(held[live] & ~held[at])
+        # carriers are never receivers, so a particle back home never deposits
+        for (carrier, receiver, value_ptr, value_ids, n_values), ticks in zip(payload, deposits):
+            hit = np.flatnonzero(carrier[live] & receiver[at])
             if hit.size:
                 homes = live[hit]
                 start, counts = value_ptr[homes], value_ptr[homes + 1] - value_ptr[homes]
                 # each hit's value numbers, in ascending home order
                 offsets = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-                ticks.append((np.repeat(at[hit] * len(names), counts) + value_ids[offsets], energy))
-    store = RecommendationStore()
-    for (mu, _, names, _, _), ticks in zip(payload, deposits):
-        if ticks:
-            _sum_deposits(store, ids, mu, names, ticks)
-    return PropagationResult(
-        store=store,
-        ticks=t,
-        frozen=n - len(live),
-        residual_energy=sum([energy] * len(live)),
-    )
+                ticks.append((np.repeat(at[hit] * n_values, counts) + value_ids[offsets], energy))
+    return deposits, t, n - len(live), _sequential_sum(np.full(len(live), energy))
 
 
-def _sum_deposits(store: RecommendationStore, ids, mu: str, names, ticks) -> None:
-    """Sum one property's deposits, given per tick as (node * len(names) +
-    value number keys, energy), into ``store``, each entry's values in
-    first-deposit order."""
-    keys = np.concatenate([k for k, _ in ticks])
+def _deposit_totals(ticks) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct keys of one property's deposits, given per tick as
+    (keys, energy), in ascending order, with each key's first event and its
+    energies summed with ``np.add.at`` one by one in event order, the same
+    float that ``entry[x] + e`` gives."""
+    keys = np.concatenate([k for k, _ in ticks] or [np.empty(0, dtype=np.int64)])
     energies = np.repeat([e for _, e in ticks], [len(k) for k, _ in ticks])
     distinct, first, which = np.unique(keys, return_index=True, return_inverse=True)
     totals = np.zeros(len(distinct))
-    np.add.at(totals, which, energies)  # one by one in event order, as entry[x] + e adds
+    np.add.at(totals, which, energies)
+    return distinct, first, totals
+
+
+def _fill_store(store: RecommendationStore, ids, mu: str, names, ticks) -> None:
+    """Sum one property's deposits, keyed node * len(names) + value number,
+    into ``store``, each entry's values in first-deposit order."""
+    distinct, first, totals = _deposit_totals(ticks)
     nodes, values = np.divmod(distinct, len(names))
     order = np.lexsort((first, nodes))
     nodes = nodes[order]

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,9 @@ from metaprop.evalharness import (
     save_results,
     write_landscapes,
 )
-from metaprop.records import Repository, make_record
-from metaprop.swarm import PropagationConfig, RecommendationStore
+from metaprop.netbuild import AssociativeNetwork, normalize, parse_relation
+from metaprop.records import Repository, ResourceRecord, make_record
+from metaprop.swarm import PropagationConfig, RecommendationStore, propagate
 from metaprop.synthetic import two_cluster_corpus
 
 
@@ -237,19 +239,19 @@ class TestRunExperiment:
         assert result.errors  # occurrence over a property nobody has
 
     def test_data_error_in_walk_becomes_cell_error(self, monkeypatch):
-        def propagate(net, repo, cfg):
+        def walk(net, seeds, cfg, payload):
             raise ValueError("bad data")
 
-        monkeypatch.setattr(evalharness, "propagate", propagate)
+        monkeypatch.setattr(evalharness, "_walk", walk)
         result = run_experiment(two_cluster_corpus(n_records=20, seed=0), _small_cfg(), workers=1)
         assert not result.rows
         assert [e.message for e in result.errors] == ["bad data", "bad data"]
 
     def test_program_bug_in_walk_raises(self, monkeypatch):
-        def propagate(net, repo, cfg):
+        def walk(net, seeds, cfg, payload):
             raise TypeError("a bug")
 
-        monkeypatch.setattr(evalharness, "propagate", propagate)
+        monkeypatch.setattr(evalharness, "_walk", walk)
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(two_cluster_corpus(n_records=20, seed=0), _small_cfg(), workers=1)
 
@@ -260,10 +262,10 @@ class TestRunExperiment:
     def test_dead_worker_becomes_cell_errors(self, monkeypatch):
         run_cell_once = evalharness._run_cell_once
 
-        def dies_at_021(net, repo, mu_x, density, *rest):
+        def dies_at_021(net, target, density, *rest):
             if density == 0.21:
                 os._exit(1)
-            return run_cell_once(net, repo, mu_x, density, *rest)
+            return run_cell_once(net, target, density, *rest)
 
         monkeypatch.setattr(evalharness, "_run_cell_once", dies_at_021)
         cfg = _small_cfg(densities=(0.21, 0.61), runs=3)
@@ -278,6 +280,140 @@ class TestRunExperiment:
             lost = sorted(e.run for e in result.errors if e.density == density)
             assert averaged.get(density, 0) + len(lost) == cfg.runs
             assert len(set(lost)) == len(lost)
+
+
+def reference_run_cell_once(net, repo, mu_x, density, percentiles, prop_cfg, seed):
+    """The grid job as the public functions define it: kill_meta, then
+    propagate over the atrophied repository, then accept_meta at each rho,
+    with precision and recall added node by node in id order.  It is the
+    oracle for the job, which does none of these steps."""
+    rng = random.Random(seed)
+    atrophied_repo, outcome = kill_meta(repo, 1.0 - density, mu_x, rng)
+    result = propagate(net, atrophied_repo, replace(prop_cfg, seed=seed))
+    scored = sorted(outcome.atrophied_ids)
+    per_rho = {}
+    for rho in percentiles:
+        accepted_map = accept_meta(result.store, rho)
+        pr_sum, pr_n, re_sum = 0.0, 0, 0.0
+        for rid in scored:
+            truth = outcome.ground_truth[(rid, mu_x)]
+            acc = accepted_map.get((rid, mu_x), frozenset())
+            if acc:
+                pr_sum += precision(truth, acc)
+                pr_n += 1
+            re_sum += recall(truth, acc)
+        pr = pr_sum / pr_n if pr_n else 0.0
+        re = re_sum / len(scored) if scored else 0.0
+        per_rho[rho] = (pr, re, f_score(pr, re))
+    return per_rho, len(scored)
+
+
+def run_cell_once(net, repo, mu_x, density, percentiles, prop_cfg, seed):
+    target = evalharness._target(repo, mu_x)
+    return evalharness._run_cell_once(net, target, density, percentiles, prop_cfg, seed)
+
+
+def exact(job):
+    """A job's outcome with each score as its type and hex, so equal means
+    bit for bit, and a numpy float (whose repr differs) never passes."""
+    per_rho, scored = job
+    return {rho: [(type(x), x.hex()) for x in v] for rho, v in per_rho.items()}, scored
+
+
+@st.composite
+def cell_cases(draw):
+    """A random normalized network over records that hold ``jour`` or not,
+    with dead ends, isolated nodes and, at times, no edges at all."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # shapes network and records
+    n = draw(st.integers(0, 50))
+    ids = [f"r{i:02d}" for i in range(n)]
+    coverage = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    records = []
+    for rid in ids:
+        props = {"key": rnd.sample("abcdefgh", rnd.randint(0, 3))}
+        if rnd.random() < coverage:
+            props["jour"] = rnd.sample("uvwxyz", rnd.randint(1, 4))
+        records.append(make_record(rid, props))
+    degrees = draw(st.sampled_from([[0], [0, 1, 2], [0, 0, 1, 2, 3, 5], [2, 4, 8]]))
+    indptr, indices, weights = [0], [], []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        targets = sorted(rnd.sample(others, min(len(others), rnd.choice(degrees))))
+        indices += targets
+        # whole-number weights make equal draws, walks and energy sums likely
+        weights += [float(rnd.randint(1, 3)) for _ in targets]
+        indptr.append(len(indices))
+    net = normalize(AssociativeNetwork(parse_relation("cite"), ids, indptr, indices, weights))
+    density = draw(st.sampled_from(evalharness.DEFAULT_DENSITIES) | st.floats(0.001, 0.999))
+    percentiles = tuple(
+        draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=6))
+    )
+    prop_cfg = PropagationConfig(
+        delta=draw(st.sampled_from([0.0, 0.15, 0.5, 1.0])),
+        max_steps=draw(st.integers(1, 30)),
+        energy_floor=draw(st.sampled_from([0.0, 1e-4, 5.0])),
+    )
+    return net, Repository(records), density, percentiles, prop_cfg, draw(st.integers(0, 2**64 - 1))
+
+
+class TestJobMatchesReference:
+    """The grid job against kill_meta -> propagate -> accept_meta -> score."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_cases())
+    def test_random_cells(self, case):
+        net, repo, *rest = case
+        assert exact(run_cell_once(net, repo, "jour", *rest)) == exact(
+            reference_run_cell_once(net, repo, "jour", *rest)
+        )
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_ties_everywhere(self, delta):
+        # delta=1 leaves every deposit at energy 0.0 and delta=0 at 1.0, so
+        # entries tie wholesale and rho 1 accepts whole tie groups
+        repo = two_cluster_corpus(n_records=120, seed=5)
+        net = build_relation_network(repo, "cokey")
+        cfg = PropagationConfig(delta=delta, max_steps=6, energy_floor=0.0)
+        rhos = (0.0, 0.3, 0.5, 0.7, 1.0)
+        for seed in range(4):
+            got = run_cell_once(net, repo, "jour", 0.41, rhos, cfg, seed)
+            assert exact(got) == exact(reference_run_cell_once(net, repo, "jour", 0.41, rhos, cfg, seed))
+            assert got[1] == 70  # floor(0.59 * 120) records lose jour
+
+    def test_no_edges(self):
+        repo = two_cluster_corpus(n_records=20, seed=0)
+        ids = repo.ids()
+        net = AssociativeNetwork(parse_relation("cokey"), ids, [0] * 21, [], [], normalized=True)
+        got = run_cell_once(net, repo, "jour", 0.21, (0.0, 1.0), PropagationConfig(), 3)
+        assert got == reference_run_cell_once(net, repo, "jour", 0.21, (0.0, 1.0), PropagationConfig(), 3)
+        assert got == ({0.0: (0.0, 0.0, 0.0), 1.0: (0.0, 0.0, 0.0)}, 15)
+
+    def test_partial_coverage(self):
+        # jour is held by every third record: the atrophy count is capped by
+        # the holders, and nodes that never held jour take no scored deposit
+        base = two_cluster_corpus(n_records=90, seed=2)
+        repo = Repository(
+            [rec if i % 3 == 0 else ResourceRecord(rec.id, {"key": rec.properties["key"]})
+             for i, rec in enumerate(base)]
+        )
+        net = build_relation_network(repo, "cokey")
+        for density in (0.01, 0.5, 0.81):
+            args = (density, evalharness.DEFAULT_PERCENTILES, PropagationConfig(max_steps=20), 9)
+            got = run_cell_once(net, repo, "jour", *args)
+            assert exact(got) == exact(reference_run_cell_once(net, repo, "jour", *args))
+            assert got[1] == min(int((1.0 - density) * 90), 30)
+
+    def test_default_grid_at_5k(self):
+        # the default densities and percentiles at the acceptance grid's
+        # size, one run per density
+        repo = two_cluster_corpus(n_records=5000, seed=0)
+        net = build_relation_network(repo, "cokey")
+        target = evalharness._target(repo, "jour")
+        for d_idx, density in enumerate(evalharness.DEFAULT_DENSITIES):
+            seed = evalharness.derive_seed(0, "cokey", "jour", d_idx, 0)
+            args = (density, evalharness.DEFAULT_PERCENTILES, PropagationConfig(), seed)
+            got = evalharness._run_cell_once(net, target, *args)
+            assert exact(got) == exact(reference_run_cell_once(net, repo, "jour", *args))
 
 
 class TestResultsIO:

@@ -1,4 +1,5 @@
 import bisect
+import math
 import random
 
 import numpy as np
@@ -20,11 +21,21 @@ from metaprop.swarm import (
     PropagationResult,
     RecommendationStore,
     _draw_blocks,
+    _sequential_sum,
     derive_seed,
     load_store,
     propagate,
     save_store,
 )
+
+
+def added_in_turn(values):
+    """0.0 plus each value in turn: the walk's energy sums, whatever the
+    Python version (built-in ``sum`` compensates float rounding from 3.12)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def reference_propagate(net, repo, cfg):
@@ -50,7 +61,7 @@ def reference_propagate(net, repo, cfg):
     energy = 1.0
     t = 0
     while live and t < cfg.max_steps:
-        if sum([energy] * len(live)) <= cfg.energy_floor:
+        if added_in_turn([energy] * len(live)) <= cfg.energy_floor:
             break
         t += 1
         energy *= keep
@@ -73,13 +84,13 @@ def reference_propagate(net, repo, cfg):
         store=store,
         ticks=t,
         frozen=len(ids) - len(live),
-        residual_energy=sum([energy] * len(live)),
+        residual_energy=added_in_turn([energy] * len(live)),
     )
 
 
 def exact(result):
-    """A walk's outcome with energies as hex (the residual as repr: it is the
-    int 0 when no particle is live) and each entry's values in insertion
+    """A walk's outcome with energies as hex (the residual as repr, which
+    also tells an int from a float) and each entry's values in insertion
     order, so equal means bit for bit."""
     return (
         [(key, [(x, e.hex()) for x, e in values.items()]) for key, values in result.store.entries()],
@@ -367,6 +378,24 @@ class TestStoreSerialization:
         path = tmp_path / "store.tsv"
         path.write_text("A\tkey\tx\t0\n")
         assert load_store(path).entry("A", "key") == {"x": 0.0}
+
+
+class TestSequentialSum:
+    def test_cancellation_is_not_compensated(self):
+        # a += loop loses the 1.0 to rounding; compensated summation (built-in
+        # sum from Python 3.12 on, math.fsum) keeps it
+        assert _sequential_sum([1e16, 1.0, -1e16]) == 0.0
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+
+    def test_empty_and_negative_zero(self):
+        assert _sequential_sum([]).hex() == _sequential_sum([-0.0]).hex() == (0.0).hex()
+
+    # bounded so that no partial sum overflows: numpy warns where += does not
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=300))
+    def test_equals_a_loop(self, values):
+        # numpy's pairwise np.sum differs from the loop on longer lists
+        assert _sequential_sum(values).hex() == added_in_turn(values).hex()
+        assert _sequential_sum(np.array(values)).hex() == added_in_turn(values).hex()
 
 
 def test_derive_seed_is_stable_and_spread():
