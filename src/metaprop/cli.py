@@ -50,6 +50,8 @@ def _valid_labels(repo) -> list:
 
 
 def cmd_build(args) -> int:
+    if args.postings_cap is not None and args.postings_cap < 1:  # it would drop every value
+        return _err(f"--postings-cap must be >= 1, got {args.postings_cap}")
     try:
         repo = records.load_repository(args.repo)
     except (OSError, records.RecordError) as exc:
@@ -76,7 +78,7 @@ def cmd_build(args) -> int:
         net = netbuild.normalize(net)
     netbuild.save_network(net, args.output)
     print(
-        f"relation={net.relation.label} nodes={len(net.nodes)} "
+        f"relation={net.relation.label} nodes={len(net.ids)} "
         f"directed_edges={net.edge_count} unordered_pairs={net.pair_count} "
         f"dangling={net.dangling} normalized={int(net.normalized)}"
     )
@@ -84,6 +86,16 @@ def cmd_build(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    seed = args.seed
+    if seed is None:
+        seed = _random.SystemRandom().randrange(2**63)
+    print(f"seed={seed}")
+    try:
+        cfg = swarm.PropagationConfig(
+            delta=args.delta, max_steps=args.max_steps, energy_floor=args.energy_floor, seed=seed
+        )
+    except ValueError as exc:
+        return _err(str(exc))
     try:
         net = netbuild.load_network(args.network)
     except (OSError, netbuild.NetworkFormatError) as exc:
@@ -96,14 +108,10 @@ def cmd_propagate(args) -> int:
         if not args.normalize:
             return _err("network is not normalized; pass --normalize to normalize on load")
         net = netbuild.normalize(net)
-    seed = args.seed
-    if seed is None:
-        seed = _random.SystemRandom().randrange(2**63)
-    print(f"seed={seed}")
-    cfg = swarm.PropagationConfig(
-        delta=args.delta, max_steps=args.max_steps, energy_floor=args.energy_floor, seed=seed
-    )
-    result = swarm.propagate(net, repo, cfg)
+    try:
+        result = swarm.propagate(net, repo, cfg)
+    except records.UnknownResourceError as exc:
+        return _err(str(exc))
     swarm.save_store(result.store, args.output)
     print(result.report())
     return 0
@@ -117,6 +125,8 @@ def _print_pair_tables(summaries) -> None:
 
 
 def cmd_experiment(args) -> int:
+    if args.postings_cap is not None and args.postings_cap < 1:  # it would drop every value
+        return _err(f"--postings-cap must be >= 1, got {args.postings_cap}")
     try:
         repo = records.load_repository(args.repo)
     except (OSError, records.RecordError) as exc:

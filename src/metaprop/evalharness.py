@@ -19,7 +19,7 @@ import random
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .netbuild import (
 )
 from .records import Repository, ResourceRecord
 from .swarm import (
+    NumberedValues,
     PropagationConfig,
     RecommendationStore,
     _deposit_totals,
@@ -191,25 +192,15 @@ def build_relation_network(
     return normalize(net)
 
 
-class _Target(NamedTuple):
+def _target(repo: Repository, mu_x: str) -> NumberedValues:
     """One target property over the repository's records in id order, which
     is the node order of every network built from it."""
-
-    holders: List[int]  # numbers of the records that hold the property
-    holds: np.ndarray  # the same, as a mask
-    names: List[str]  # the property's values, sorted
-    value_ptr: np.ndarray  # each record's value numbers in CSR form
-    value_ids: np.ndarray
-
-
-def _target(repo: Repository, mu_x: str) -> _Target:
-    holds, names, value_ptr, value_ids = _numbered_values([rec.values(mu_x) or None for rec in repo])
-    return _Target(np.flatnonzero(holds).tolist(), holds, names, value_ptr, value_ids)
+    return _numbered_values([rec.values(mu_x) or None for rec in repo])
 
 
 def _run_cell_once(
     net: AssociativeNetwork,
-    target: _Target,
+    target: NumberedValues,
     density: float,
     percentiles: Sequence[float],
     prop_cfg: PropagationConfig,
@@ -225,10 +216,10 @@ def _run_cell_once(
     rng = random.Random(seed)
     n = len(net.ids)
     atrophied = np.zeros(n, dtype=bool)
-    atrophied[_atrophy_pick(n, target.holders, 1.0 - density, rng)] = True
-    n_values = len(target.names)
-    payload = (target.holds & ~atrophied, atrophied, target.value_ptr, target.value_ids, n_values)
+    atrophied[_atrophy_pick(n, np.flatnonzero(target.holds).tolist(), 1.0 - density, rng)] = True
+    payload = (target.holds & ~atrophied, atrophied, target)
     (ticks,), _, _, _ = _walk(net, _node_seeds(net.ids, seed), prop_cfg, [payload])
+    n_values = len(target.names)
     keys, _, totals = _deposit_totals(ticks)
     truth_sizes = np.diff(target.value_ptr)
     truth_keys = np.repeat(np.arange(n) * n_values, truth_sizes) + target.value_ids

@@ -18,6 +18,7 @@ numbers and the weights.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -117,7 +118,6 @@ class AssociativeNetwork:
     ):
         self.relation = relation
         self.ids: Tuple[str, ...] = tuple(ids)
-        self.index: Dict[str, int] = {node: i for i, node in enumerate(self.ids)}
         self.nodes = frozenset(self.ids)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
@@ -168,8 +168,8 @@ class AssociativeNetwork:
         return np.repeat(np.arange(len(self.ids), dtype=np.int32), np.diff(self.indptr))
 
     def _row(self, node: str) -> Tuple[int, int]:
-        i = self.index.get(node)
-        if i is None:
+        i = bisect_left(self.ids, node)
+        if i == len(self.ids) or self.ids[i] != node:
             return 0, 0
         return int(self.indptr[i]), int(self.indptr[i + 1])
 
@@ -181,16 +181,6 @@ class AssociativeNetwork:
         return tuple(
             (ids[d], w) for d, w in zip(self.indices[lo:hi].tolist(), self.weights[lo:hi].tolist())
         )
-
-    def weight(self, src: str, dst: str) -> Optional[float]:
-        j = self.index.get(dst)
-        if j is None:
-            return None
-        lo, hi = self._row(src)
-        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
-        if k < hi and self.indices[k] == j:
-            return float(self.weights[k])
-        return None
 
     @property
     def edge_count(self) -> int:

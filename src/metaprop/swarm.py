@@ -13,20 +13,23 @@ scalar.  Particles that hit a dead end freeze and never act again.
 Each particle's substream is MT19937 seeded by ``init_by_array`` over the
 32-bit words of ``derive_seed(seed, home id)``, bit-identical to
 ``random.Random`` with that seed.  All particles' generators run at once, as
-one (624, n) uint32 state whose draws come in blocks of up to 312 ticks.
+one (624, n) uint32 state read word by word as MT19937 reads it: each tick
+regenerates the two words its draw takes, so a walk generates no draw past
+its last tick.
 
-A tick works on arrays of the live particles: their draws are one row of
-the block, one vectorized bisection over ``net.cum`` finds every move, and
-only the particles that reach a node missing a property they carry deposit.
-The loop itself takes, per property, a mask of the nodes whose particles
-carry it and a mask of the nodes that receive it; ``propagate`` passes the
-holders and the rest, and the evaluation grid passes the nodes that keep a
-property and the ones it was removed from.  Deposits are kept as (node,
-value) keys per tick and summed at the end with ``np.add.at`` in event
-order, so each sum is the same float that adding the energies one by one
-gives, and each (node, property) entry lists its values in first-deposit
-order.  Every other float sum here is left to right too, never built-in
-``sum``, whose rounding changed in Python 3.12.
+A tick works on arrays of the live particles: their draws are one row
+from the generator, one vectorized bisection over ``net.cum`` finds every
+move, and only the particles that reach a node missing a property they
+carry deposit.  The loop itself takes, per property, a mask of the nodes
+whose particles carry it and a mask of the nodes that receive it;
+``propagate`` passes the holders and the rest, and the evaluation grid
+passes the nodes that keep a property and the ones it was removed from.
+Deposits are kept as (node, value) keys per tick and summed at the end
+with ``np.add.at`` in event order, so each sum is the same float that
+adding the energies one by one gives, and each (node, property) entry
+lists its values in first-deposit order.  Every other float sum here is
+left to right too, never built-in ``sum``, whose rounding changed in
+Python 3.12.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -125,7 +128,6 @@ class PropagationResult:
 # (624, n) uint32 state is the generator random.Random(seeds[j]) holds.
 _N, _M = 624, 397
 _UPPER, _LOWER, _MATRIX_A = 0x80000000, 0x7FFFFFFF, 0x9908B0DF
-_BLOCK_DRAWS = _N // 2  # random() takes two 32-bit words per double
 
 
 def _init_genrand(s: int) -> np.ndarray:
@@ -170,39 +172,26 @@ def _seed_states(seeds: np.ndarray) -> np.ndarray:
     return mt
 
 
-def _twist(mt: np.ndarray, rows: int) -> None:
-    """Regenerate the state's first ``rows`` words in place, as the
-    generator does once all 624 are used; fewer than 624 leaves a state
-    that must not be twisted again."""
-    # word k reads word k + 397 (mod 624): words 0-226 read old words,
-    # 227-453 read words 0-226 just rewritten, 454-622 read 227-395
-    for lo, hi in ((0, _N - _M), (_N - _M, 2 * (_N - _M)), (2 * (_N - _M), _N - 1)):
-        hi = min(hi, rows)
-        if lo >= hi:
-            return
-        src = (lo + _M) % _N
-        y = (mt[lo:hi] & _UPPER) | (mt[lo + 1 : hi + 1] & _LOWER)
-        mt[lo:hi] = mt[src : src + hi - lo] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
-    if rows == _N:  # the last word wraps round to the rewritten word 0
-        y = (mt[_N - 1] & _UPPER) | (mt[0] & _LOWER)
-        mt[_N - 1] = mt[_M - 1] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
+def _draws(seeds: np.ndarray) -> Iterator[np.ndarray]:
+    """random.Random(seed).random() for every seed, one float64 row per
+    call and without end: row t holds each seed's t-th draw.
 
-
-def _draw_blocks(seeds: np.ndarray, count: int) -> Iterator[np.ndarray]:
-    """The first ``count`` values of random.Random(seed).random() for every
-    seed, as float64 blocks of shape (ticks, len(seeds)) with at most 312
-    rows: row t of a block holds each seed's t-th draw of that block."""
+    A draw reads state words k and k + 1, and each is regenerated just
+    before it is read.  When word w is regenerated, the words after it
+    still hold the old generation and the words before it the new one:
+    what a whole-state twist reads at w, so the words come out the same."""
     mt = _seed_states(seeds)
-    while count > 0:
-        ticks = min(count, _BLOCK_DRAWS)
-        _twist(mt, 2 * ticks)  # only the words these draws use
-        y = mt[: 2 * ticks] ^ (mt[: 2 * ticks] >> 11)
-        y ^= (y << 7) & 0x9D2C5680
-        y ^= (y << 15) & 0xEFC60000
-        y ^= y >> 18
-        # genrand_res53: a 27-bit and a 26-bit word make one 53-bit double
-        yield ((y[0::2] >> 5) * 67108864.0 + (y[1::2] >> 6)) / 9007199254740992.0
-        count -= ticks
+    while True:
+        for k in range(0, _N, 2):
+            for w in (k, k + 1):
+                y = (mt[w] & _UPPER) | (mt[(w + 1) % _N] & _LOWER)
+                mt[w] = mt[(w + _M) % _N] ^ (y >> 1) ^ ((y & 1) * _MATRIX_A)
+            y = mt[k : k + 2] ^ (mt[k : k + 2] >> 11)
+            y ^= (y << 7) & 0x9D2C5680
+            y ^= (y << 15) & 0xEFC60000
+            y ^= y >> 18
+            # genrand_res53: a 27-bit and a 26-bit word make one 53-bit double
+            yield ((y[0] >> 5) * 67108864.0 + (y[1] >> 6)) / 9007199254740992.0
 
 
 def _sequential_sum(values) -> float:
@@ -228,10 +217,18 @@ def _node_seeds(ids, seed: int) -> np.ndarray:
     return np.frombuffer(b"".join(digests), dtype=">u8")
 
 
-def _numbered_values(column: list) -> Tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+class NumberedValues(NamedTuple):
+    """One property over numbered nodes, its values numbered in name order."""
+
+    holds: np.ndarray  # mask of the nodes that hold the property
+    names: List[str]  # the property's values, sorted
+    value_ptr: np.ndarray  # each node's value numbers, ascending, in CSR form
+    value_ids: np.ndarray
+
+
+def _numbered_values(column: list) -> NumberedValues:
     """One property given as each node's value set, or None where the node
-    holds none: the holds-it mask over nodes, the sorted value names, and
-    each node's value numbers in name order as CSR (value_ptr, value_ids)."""
+    holds none."""
     n = len(column)
     held = np.fromiter((v is not None for v in column), dtype=bool, count=n)
     holders = list(compress(column, held.tolist()))
@@ -242,7 +239,7 @@ def _numbered_values(column: list) -> Tuple[np.ndarray, list, np.ndarray, np.nda
     counts[held] = [len(v) for v in numbered]
     value_ptr = np.concatenate(([0], np.cumsum(counts)))
     value_ids = np.fromiter(chain.from_iterable(numbered), dtype=np.int64, count=value_ptr[-1])
-    return held, names, value_ptr, value_ids
+    return NumberedValues(held, names, value_ptr, value_ids)
 
 
 def propagate(
@@ -270,22 +267,22 @@ def propagate(
                     column = columns[mu] = [None] * n
                 column[i] = values
     # a property every node holds has no metadata-poor node to deposit at
-    tables = [(mu, *_numbered_values(columns[mu])) for mu in sorted(columns) if None in columns[mu]]
-    payload = [(held, ~held, value_ptr, value_ids, len(names)) for _, held, names, value_ptr, value_ids in tables]
+    tables = [(mu, _numbered_values(columns[mu])) for mu in sorted(columns) if None in columns[mu]]
+    payload = [(values.holds, ~values.holds, values) for _, values in tables]
     deposits, ticks, frozen, residual = _walk(net, _node_seeds(ids, cfg.seed), cfg, payload)
     store = RecommendationStore()
-    for (mu, _, names, _, _), events in zip(tables, deposits):
+    for (mu, values), events in zip(tables, deposits):
         if events:
-            _fill_store(store, ids, mu, names, events)
+            _fill_store(store, ids, mu, values.names, events)
     return PropagationResult(store=store, ticks=ticks, frozen=frozen, residual_energy=residual)
 
 
 def _walk(net: AssociativeNetwork, seeds: np.ndarray, cfg: PropagationConfig, payload: list):
     """The tick loop, over a normalized network with one particle per node
     seeded by ``seeds``.  ``payload`` lists each carried property as
-    (carrier mask, receiver mask, value_ptr, value_ids, number of values):
-    a live particle whose home is a carrier deposits its home's values at
-    each receiver it reaches.  The two masks must be disjoint.
+    (carrier mask, receiver mask, ``NumberedValues``): a live particle
+    whose home is a carrier deposits its home's values at each receiver it
+    reaches.  The two masks must be disjoint.
 
     Returns each property's deposits, as one (node * number of values +
     value number keys, energy) pair per tick that deposited, then the
@@ -295,7 +292,7 @@ def _walk(net: AssociativeNetwork, seeds: np.ndarray, cfg: PropagationConfig, pa
     deposits = [[] for _ in payload]
     keep = 1.0 - cfg.delta
     indptr, indices, cum = net.indptr, net.indices, net.cum
-    blocks = _draw_blocks(seeds, cfg.max_steps)
+    rows = _draws(seeds)
     live = np.arange(n)  # homes of the non-frozen particles, ascending
     at = live  # each live particle's current node
     energy = 1.0
@@ -304,9 +301,7 @@ def _walk(net: AssociativeNetwork, seeds: np.ndarray, cfg: PropagationConfig, pa
         # summed particle by particle: energy * len(live) may round differently
         if _sequential_sum(np.full(len(live), energy)) <= cfg.energy_floor:
             break
-        if t % _BLOCK_DRAWS == 0:
-            block = next(blocks)
-        row = block[t % _BLOCK_DRAWS]  # each particle's t-th draw
+        row = next(rows)  # each particle's t-th draw
         t += 1
         energy *= keep
         lo, hi = indptr[at], indptr[at + 1]
@@ -326,14 +321,15 @@ def _walk(net: AssociativeNetwork, seeds: np.ndarray, cfg: PropagationConfig, pa
         # min() keeps a draw above a row total that falls short of 1.0 on the row
         at = indices[np.minimum(base, hi - 1)]
         # carriers are never receivers, so a particle back home never deposits
-        for (carrier, receiver, value_ptr, value_ids, n_values), ticks in zip(payload, deposits):
+        for (carrier, receiver, values), ticks in zip(payload, deposits):
             hit = np.flatnonzero(carrier[live] & receiver[at])
             if hit.size:
-                homes = live[hit]
+                homes, value_ptr = live[hit], values.value_ptr
                 start, counts = value_ptr[homes], value_ptr[homes + 1] - value_ptr[homes]
                 # each hit's value numbers, in ascending home order
                 offsets = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-                ticks.append((np.repeat(at[hit] * n_values, counts) + value_ids[offsets], energy))
+                keys = np.repeat(at[hit] * len(values.names), counts) + values.value_ids[offsets]
+                ticks.append((keys, energy))
     return deposits, t, n - len(live), _sequential_sum(np.full(len(live), energy))
 
 

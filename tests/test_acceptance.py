@@ -39,13 +39,13 @@ def edge_dict(net):
 
 def test_criterion_1_formula_fixtures(table1_repo, chain_repo):
     net = build_cooccurrence(table1_repo, "key")
-    assert net.weight("ni", "nj") == 0.5
-    assert net.weight("nj", "ni") == 0.5
+    assert dict(net.out_edges("ni")).get("nj") == 0.5
+    assert dict(net.out_edges("nj")).get("ni") == 0.5
 
     targets = [f"t{i:02d}" for i in range(50)]
     repo = Repository([make_record(t, {}) for t in targets] + [make_record("s", {"cite": targets})])
     occurrence = build_occurrence(repo, "cite")
-    assert all(occurrence.weight("s", t) == 0.02 for t in targets)
+    assert all(dict(occurrence.out_edges("s")).get(t) == 0.02 for t in targets)
 
     # A -> B -> C: A's keyword arrives at B after one hop and at C after two
     chain = normalize(build_occurrence(chain_repo, "cite"))

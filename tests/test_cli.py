@@ -82,6 +82,16 @@ class TestBuildNetwork:
         err = capsys.readouterr().err
         assert "cite" in err and "cokey" in err
 
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_postings_cap_below_one_is_an_error(self, repo_file, tmp_path, capsys, cap):
+        # a cap below 1 drops every value, which used to write an edgeless network
+        net = tmp_path / "net.tsv"
+        rc = main(["build-network", str(repo_file), "--relation", "cokey",
+                   "--postings-cap", cap, "--output", str(net)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --postings-cap must be >= 1, got {cap}\n"
+        assert not net.exists()
+
 
 class TestPropagate:
     def _build(self, repo_file, tmp_path):
@@ -148,6 +158,34 @@ class TestPropagate:
         assert rc == 1
         assert "infinite weight on ('A', 'B')" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--delta", "2", "delta must be in [0, 1], got 2.0"),
+            ("--max-steps", "0", "max_steps must be >= 1, got 0"),
+            ("--energy-floor", "-1e-3", "energy_floor must be >= 0, got -0.001"),
+        ],
+        ids=["delta", "max-steps", "energy-floor"],
+    )
+    def test_bad_walk_setting_is_an_error(self, repo_file, tmp_path, capsys, option, value, message):
+        net = self._build(repo_file, tmp_path)
+        store = tmp_path / "store.tsv"
+        rc = main(["propagate", str(net), str(repo_file), "--seed", "1", f"{option}={value}",
+                   "--output", str(store)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not store.exists()
+
+    def test_node_missing_from_repository_is_an_error(self, repo_file, tmp_path, capsys):
+        net = self._build(repo_file, tmp_path)  # nodes A, B and C
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text(json.dumps({"id": "A", "properties": {"key": ["x"]}}) + "\n")
+        store = tmp_path / "store.tsv"
+        rc = main(["propagate", str(net), str(partial), "--seed", "1", "--output", str(store)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown resource id: 'B'\n"
+        assert not store.exists()
+
     def test_generated_seed_is_printed(self, repo_file, tmp_path, capsys):
         net = self._build(repo_file, tmp_path)
         assert main(["propagate", str(net), str(repo_file),
@@ -194,6 +232,16 @@ class TestExperiment:
                      "--densities", "0.5", "--percentiles", "0,1",
                      "--output", str(results)]) == 0
         assert len(results.read_text().splitlines()) == 1 + 2
+
+    def test_postings_cap_below_one_is_an_error(self, tmp_path, capsys):
+        corpus = _corpus_file(tmp_path)
+        results = tmp_path / "results.tsv"
+        rc = main(["experiment", str(corpus), "--relations", "cokey",
+                   "--properties", "jour", "--runs", "1", "--seed", "3",
+                   "--postings-cap", "0", "--output", str(results)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --postings-cap must be >= 1, got 0\n"
+        assert not results.exists()
 
     def test_landscapes_written(self, tmp_path):
         corpus = _corpus_file(tmp_path)

@@ -1,0 +1,17 @@
+import runpy
+from pathlib import Path
+
+from metaprop.evalharness import load_results
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_synthetic_experiment_runs(tmp_path, capsys):
+    # 2 relations x 2 properties x 5 densities x 11 percentiles
+    main = runpy.run_path(str(SCRIPTS / "run_synthetic_experiment.py"))["main"]
+    output = tmp_path / "results.tsv"
+    assert main(["--records", "60", "--runs", "1", "--output", str(output)]) == 0
+    assert len(load_results(output)) == 220
+    out, err = capsys.readouterr()
+    assert f"60 records, 220 grid cells -> {output}" in out
+    assert err == ""  # no cell errors

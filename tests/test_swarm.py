@@ -1,12 +1,14 @@
 import bisect
 import math
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaprop import swarm
 from metaprop.netbuild import (
     AssociativeNetwork,
     build_cooccurrence,
@@ -20,7 +22,7 @@ from metaprop.swarm import (
     PropagationConfig,
     PropagationResult,
     RecommendationStore,
-    _draw_blocks,
+    _draws,
     _sequential_sum,
     derive_seed,
     load_store,
@@ -435,6 +437,24 @@ def walk_cases(draw):
     return net, Repository(records), cfg
 
 
+def three_out_network(seed):
+    """A normalized 30-node network in which every node cites three others
+    (so no particle ever freezes), two thirds of whose records hold a key."""
+    rnd = random.Random(seed)
+    ids = [f"n{i:02d}" for i in range(30)]
+    indptr, indices, weights = [0], [], []
+    for i in range(len(ids)):
+        targets = sorted(rnd.sample([j for j in range(len(ids)) if j != i], 3))
+        indices += targets
+        weights += [rnd.uniform(0.1, 1.0) for _ in targets]
+        indptr.append(len(indices))
+    net = normalize(AssociativeNetwork(parse_relation("cite"), ids, indptr, indices, weights))
+    repo = Repository(
+        [make_record(node, {"key": [f"k{i % 4}"]} if i % 3 else {}) for i, node in enumerate(ids)]
+    )
+    return net, repo
+
+
 class TestMatchesReference:
     """propagate's per-tick array step against the per-particle scalar loop."""
 
@@ -468,24 +488,32 @@ class TestMatchesReference:
         assert abs(len(result.store.entry("b", "tag")) / n - 0.75) < 0.03
 
     @pytest.mark.parametrize("seed,steps", [(0, 313), (1, 640), (2, 950)])
-    def test_walks_past_a_draw_block(self, seed, steps):
+    def test_walks_past_a_state_generation(self, seed, steps):
         # no dead ends, no decay and no floor: every particle draws once per
-        # tick, so each substream runs past 312 draws into a second block
-        rnd = random.Random(seed)
-        ids = [f"n{i:02d}" for i in range(30)]
-        indptr, indices, weights = [0], [], []
-        for i in range(len(ids)):
-            targets = sorted(rnd.sample([j for j in range(len(ids)) if j != i], 3))
-            indices += targets
-            weights += [rnd.uniform(0.1, 1.0) for _ in targets]
-            indptr.append(len(indices))
-        net = normalize(AssociativeNetwork(parse_relation("cite"), ids, indptr, indices, weights))
-        repo = Repository(
-            [make_record(node, {"key": [f"k{i % 4}"]} if i % 3 else {}) for i, node in enumerate(ids)]
-        )
+        # tick, so each substream reads past its first 624 state words (312
+        # draws) into words regenerated from the new generation
+        net, repo = three_out_network(seed)
         cfg = PropagationConfig(delta=0.0, max_steps=steps, energy_floor=0.0, seed=seed)
         result = propagate(net, repo, cfg)
         assert (result.ticks, result.frozen) == (steps, 0)
+        assert exact(result) == exact(reference_propagate(net, repo, cfg))
+
+    def test_floor_ends_a_long_walk_early(self, monkeypatch):
+        # 30 particles at 0.85^t fall to the 1e-4 floor long before tick
+        # 1000; the walk takes one row of draws per tick it runs, no more
+        net, repo = three_out_network(3)
+        taken = []
+
+        def counted(seeds):
+            for row in _draws(seeds):
+                taken.append(row)
+                yield row
+
+        monkeypatch.setattr(swarm, "_draws", counted)
+        cfg = PropagationConfig(max_steps=1000, seed=3)
+        result = propagate(net, repo, cfg)
+        assert (result.ticks, result.frozen) == (78, 0)
+        assert len(taken) == result.ticks
         assert exact(result) == exact(reference_propagate(net, repo, cfg))
 
     @pytest.mark.parametrize("n", [0, 3])
@@ -517,10 +545,7 @@ def reference_draws(seeds, count):
 
 
 def batched_draws(seeds, count):
-    blocks = list(_draw_blocks(np.array(seeds, dtype=np.uint64), count))
-    assert [len(b) for b in blocks[:-1]] == [312] * (len(blocks) - 1)
-    assert 1 <= len(blocks[-1]) <= 312
-    return np.concatenate(blocks)
+    return np.array(list(islice(_draws(np.array(seeds, dtype=np.uint64)), count)))
 
 
 class TestBatchedGenerator:
@@ -531,9 +556,9 @@ class TestBatchedGenerator:
     def test_matches_random(self, seeds, count):
         assert batched_draws(seeds, count).tolist() == reference_draws(seeds, count).tolist()
 
-    def test_five_blocks_with_mixed_key_lengths(self):
-        # 1,250 draws take four full twists and a partial one; one- and
-        # two-word keys share a batch
+    def test_five_generations_with_mixed_key_lengths(self):
+        # 1,250 draws read 2,500 state words: four whole generations of 624
+        # and the start of a fifth; one- and two-word keys share a batch
         seeds = [0, 7, 2**32 - 1, 2**32, 2**64 - 1] + [derive_seed(3, f"n{i}") for i in range(5)]
         assert batched_draws(seeds, 1250).tolist() == reference_draws(seeds, 1250).tolist()
 
