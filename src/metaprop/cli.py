@@ -60,6 +60,8 @@ def cmd_build(args) -> int:
         relation = netbuild.parse_relation(args.relation)
     except netbuild.RelationError as exc:
         return _err(f"{exc}; valid labels for this repository: {', '.join(_valid_labels(repo))}")
+    if args.postings_cap is not None and relation.kind != netbuild.COOCCURRENCE:
+        return _err("--postings-cap applies only to co-occurrence relations")
     if relation.mu not in repo.property_types():
         return _err(
             f"no property {relation.mu!r} in repository; valid labels: "
@@ -149,9 +151,12 @@ def cmd_experiment(args) -> int:
         )
     except ValueError as exc:
         return _err(str(exc))
-    result = evalharness.run_experiment(
-        repo, cfg, workers=args.workers, max_postings=args.postings_cap
-    )
+    try:
+        result = evalharness.run_experiment(
+            repo, cfg, workers=args.workers, max_postings=args.postings_cap
+        )
+    except ValueError as exc:
+        return _err(str(exc))
     evalharness.save_results(result.rows, args.output)
     if args.landscape_dir:
         evalharness.write_landscapes(result.rows, args.landscape_dir)
@@ -199,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--no-normalize", action="store_true", help="keep raw edge weights")
     p.add_argument("--postings-cap", type=int, default=None,
-                   help="skip co-occurrence values held by more than this many resources")
+                   help="skip co-occurrence values held by more than this many resources; "
+                        "applies only to co-occurrence relations")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("propagate", help="run particle propagation over a saved network")

@@ -59,6 +59,9 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for axis in ("network_relations", "target_properties", "densities", "percentiles"):
+            if not getattr(self, axis):
+                raise ValueError(f"{axis} must not be empty")
         for d in self.densities:
             if not 0.0 < d < 1.0:
                 raise ValueError(f"density must be in (0, 1), got {d}")
@@ -293,7 +296,15 @@ def run_experiment(
     """Full grid: for each (mu_y, mu_x, density, run), atrophy and propagate
     once, then score every percentile.  Networks are built once per mu_y
     from the full repository.  Results are independent of ``workers``; a
-    job whose worker process dies is reported as a ``CellError``."""
+    job whose worker process dies is reported as a ``CellError``.  A
+    target property that no record holds is an error, raised before any
+    network is built."""
+    properties = repo.property_types()
+    for mu_x in cfg.target_properties:
+        if mu_x not in properties:
+            raise ValueError(
+                f"no property {mu_x!r} in repository; its property types: {', '.join(properties)}"
+            )
     networks: Dict[str, AssociativeNetwork] = {}
     targets = {mu_x: _target(repo, mu_x) for mu_x in cfg.target_properties}
     errors: List[CellError] = []

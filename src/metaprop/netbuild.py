@@ -323,7 +323,14 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
 
 _BLOCK = 1 << 16  # edge lines per written block; also the parsed-weight cache's bound
 _READ_CHARS = 1 << 18  # characters per read block
-_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
+_EDGE_SEPARATORS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
+_SLOT_BITS = 16  # a _FieldTable has 2**16 slots
+_SLOT_SHIFT = np.uint64(64 - _SLOT_BITS)  # a key's top bits pick its slot
+_WORDS = 8  # the widest field a _FieldTable holds, in 64-bit words
+_BYTE_MASKS = np.array([(1 << 8 * v) - 1 for v in range(9)], dtype=np.uint64)  # low v bytes
+_WORD_MIX = np.array(  # odd multipliers, one per word
+    [0x9E3779B97F4A7C15 * (2 * j + 1) % 2**64 for j in range(_WORDS)], dtype=np.uint64
+)
 
 
 class _Memo(dict):
@@ -399,22 +406,11 @@ def _blocks(fh):
         yield carry + "\n"
 
 
-def _edge_fields(block: str, ids: _Memo, source, line_no: int):
-    """Split a block into its edge lines' fields, ``src, dst, weight`` per
-    line; also give the block-relative row of each edge line and the
-    block's line count.
-
-    A block of edge lines only is recognised by its separators, which must
-    run tab, tab, newline; it is checked and split with C-level calls.  Any
-    other block is read line by line: isolated node lines are numbered into
-    ``ids``, blank lines are skipped and any other line is rejected.
-    """
-    seps = _utf8(block, source, line_no).translate(None, _NOT_SEPARATORS)
-    if seps == b"\t\t\n" * (len(seps) // 3):
-        fields = block.replace("\n", "\t").split("\t")
-        fields.pop()  # the empty field after the last newline
-        rows = range(len(fields) // 3)
-        return fields, rows, len(rows)
+def _line_fields(block: str, ids: _Memo, source, line_no: int):
+    """Read a block line by line: isolated node lines are numbered into
+    ``ids``, blank lines are skipped and edge lines are split into their
+    fields, ``src, dst, weight`` per line; any other line is rejected.
+    Also give the block's line count."""
     lines = block.split("\n")
     lines.pop()
     rows = []
@@ -430,7 +426,158 @@ def _edge_fields(block: str, ids: _Memo, source, line_no: int):
                 f"{source}:{line_no + k}", f"expected 1 or 3 fields, got {n_tabs + 1}"
             )
     fields = "\t".join([lines[k] for k in rows]).split("\t") if rows else []
-    return fields, rows, len(lines)
+    return fields, len(lines)
+
+
+def _field_bounds(data: bytes):
+    """The start and width in bytes of every field of a block of edge lines
+    only, as two (lines, 3) arrays; None when the block must be read line by
+    line.
+
+    One scan for tabs and newlines bounds every field.  A block of edge
+    lines only is recognised by its separators, which must run tab, tab,
+    newline.  A block with a field wider than _WORDS words is read line by
+    line too.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((raw == 9) | (raw == 10))
+    if len(ends) % 3 or np.any(raw[ends].reshape(-1, 3) != _EDGE_SEPARATORS):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    widths = ends - starts
+    if widths.max() > 8 * _WORDS:
+        return None
+    return starts.reshape(-1, 3), widths.reshape(-1, 3)
+
+
+def _words(aligned: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each field's bytes as little-endian 64-bit words, zero past its
+    width: row j holds every field's word j.  ``aligned`` is the block as
+    64-bit words, ending in _WORDS + 1 zero words.  A word at an unaligned
+    offset is put together from the two aligned words it straddles, which
+    numpy gathers several times faster than it gathers from a byte-strided
+    view."""
+    k = max(1, (int(widths.max()) + 7) // 8)
+    at = starts >> 3
+    shift = ((starts & 7) << 3).astype(np.uint64)
+    back = np.uint64(63) - shift  # after a 1-bit shift: 64 - shift, never a full 64
+    words = np.empty((k, len(starts)), dtype=np.uint64)
+    low = aligned.take(at)
+    low >>= shift
+    for j, word in enumerate(words):
+        high = aligned.take(at + (j + 1))
+        np.left_shift(high, 1, out=word)
+        word <<= back
+        word |= low
+        word &= _BYTE_MASKS.take(np.clip(widths - 8 * j, 0, 8))
+        high >>= shift
+        low = high
+    return words
+
+
+class _FieldTable:
+    """A direct-mapped cache from a field's text to its value, looked up a
+    whole column of fields at a time without making a Python object per
+    field.
+
+    A field of up to _WORDS words is keyed by its width and its bytes read
+    as little-endian 64-bit words, zero past the width (so "a" and "a\\x00"
+    differ by width).  A multiply-xor hash of the key picks one of
+    2**_SLOT_BITS slots, and each slot holds the full key of the last text
+    stored there.  A field is a hit only when its width and every word equal
+    its slot's, so a lookup is exact: texts that share a hash or a slot are
+    never taken for one another.
+
+    Missed fields are grouped by slot, and one field of each group takes
+    the slot: its text is decoded once, given its value by ``make`` and
+    stored with its key.  The group's other fields are then checked word
+    for word against that key; those that hold a different text (a
+    collision within the block) are decoded and given to ``make`` one by
+    one.  A collision so costs time, never a wrong value.
+    """
+
+    def __init__(self, dtype, make):
+        self.widths = np.full(1 << _SLOT_BITS, -1, dtype=np.int32)
+        self.words = np.zeros((_WORDS, 1 << _SLOT_BITS), dtype=np.uint64)
+        self.values = np.zeros(1 << _SLOT_BITS, dtype=dtype)
+        self.owner = np.zeros(1 << _SLOT_BITS, dtype=np.int32)  # scratch for _store
+        self.make = make
+
+    @staticmethod
+    def hash(widths: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """A multiply-xor hash of each key, whose top _SLOT_BITS bits pick
+        its slot; a trailing zero word leaves it unchanged, so a text hashes
+        alike in blocks of any word count."""
+        key = widths.astype(np.uint64)
+        for word, mix in zip(words, _WORD_MIX):
+            key ^= word * mix
+        key *= _WORD_MIX[0]
+        return key
+
+    def lookup(self, data: bytes, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+        """The value of each field ``data[start:start + width]``; ``data``
+        ends in _WORDS + 1 zero words past its last field."""
+        words = _words(np.frombuffer(data, dtype="<u8", count=len(data) // 8), starts, widths)
+        slot = (self.hash(widths, words) >> _SLOT_SHIFT).astype(np.intp)
+        out = self.values.take(slot)  # before _store can overwrite a hit's slot
+        miss = np.flatnonzero(self._differs(slot, widths, words))
+        if miss.size:
+            starts, widths, words, slot = starts[miss], widths[miss], words[:, miss], slot[miss]
+            self._store(data, starts, widths, words, slot)
+            lost = self._differs(slot, widths, words)  # to another text of this block
+            out[miss] = self.values.take(slot)
+            if lost.any():
+                out[miss[lost]] = self._make_each(data, starts[lost], widths[lost])
+        return out
+
+    def _differs(self, slot, widths, words) -> np.ndarray:
+        """Whether each field's key differs from the one stored in its slot."""
+        differs = self.widths.take(slot) != widths
+        for stored, word in zip(self.words, words):
+            differs |= stored.take(slot) != word
+        return differs
+
+    def _store(self, data, starts, widths, words, slot) -> None:
+        """Store one of the given fields in each slot that they name."""
+        fields = np.arange(len(slot), dtype=np.int32)
+        self.owner[slot] = fields
+        first = np.flatnonzero(self.owner.take(slot) == fields)
+        slot = slot[first]
+        self.values[slot] = self._make_each(data, starts[first], widths[first])
+        self.widths[slot] = widths[first]
+        self.words[:, slot] = 0
+        self.words[: len(words), slot] = words[:, first]
+
+    def _make_each(self, data, starts, widths) -> np.ndarray:
+        """``make`` of each field's text, decoded one field at a time."""
+        texts = [data[s : s + w].decode() for s, w in zip(starts.tolist(), widths.tolist())]
+        return np.fromiter(map(self.make, texts), self.values.dtype, len(texts))
+
+
+def _table_columns(data: bytes, starts, widths, nodes: _FieldTable, weights: _FieldTable):
+    """A block of edge lines' source and destination numbers, looked up in
+    ``nodes``, and weights, looked up in ``weights``."""
+    padded = data + bytes(8 * (_WORDS + 1))
+    # every source, then every destination
+    node = nodes.lookup(padded, starts[:, :2].T.ravel(), widths[:, :2].T.ravel())
+    weight = weights.lookup(padded, starts[:, 2], widths[:, 2])
+    return node[: len(starts)], node[len(starts) :], weight
+
+
+def _raise_bad_weight(block: str, source, line_no: int) -> None:
+    """Raise NetworkFormatError at the first edge line of ``block`` whose
+    weight text float.fromhex rejects."""
+    for k, line in enumerate(block.split("\n")):
+        fields = line.split("\t")
+        if len(fields) == 3:
+            try:
+                float.fromhex(fields[2])
+            except (ValueError, OverflowError) as exc:
+                raise NetworkFormatError(
+                    f"{source}:{line_no + k}", f"bad weight {fields[2]!r}"
+                ) from exc
 
 
 def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
@@ -438,31 +585,41 @@ def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
     provisional numbers (to be renumbered by sorted id), and each edge's
     source number, destination number and weight in flat typed arrays.
 
-    The text is read in blocks, and a block's edge lines are converted by
-    C-level calls rather than a Python loop per line.  A repeated weight
-    text is parsed once, from a cache cleared when it passes _BLOCK entries.
+    The text is read in blocks.  A block of edge lines only is read as
+    numpy arrays of its UTF-8 bytes: its ids and weight texts are looked up
+    in two _FieldTables, so a repeated text costs no Python call.  Any other
+    block is read line by line, and its weight texts are parsed through a
+    cache cleared when it passes _BLOCK entries.  A bad weight text is
+    reported at the first line that holds one.
     """
     ids = _Memo(lambda node: len(ids))
     values = _Memo(float.fromhex)
+    nodes = _FieldTable(np.int32, ids.__getitem__)
+    texts = _FieldTable(np.float64, float.fromhex)
     srcs, dsts, weights = array("i"), array("i"), array("d")
     line_no = 2
     for block in _blocks(fh):
-        fields, rows, n_lines = _edge_fields(block, ids, source, line_no)
-        n = len(rows)
-        srcs.frombytes(np.fromiter(map(ids.__getitem__, fields[0::3]), np.int32, n).tobytes())
-        dsts.frombytes(np.fromiter(map(ids.__getitem__, fields[1::3]), np.int32, n).tobytes())
-        if len(values) > _BLOCK:
-            values.clear()
-        texts = fields[2::3]
+        data = _utf8(block, source, line_no)
+        bounds = _field_bounds(data)
+        if bounds is None:  # lines of other kinds are checked before any weight
+            fields, n_lines = _line_fields(block, ids, source, line_no)
         try:
-            weights.frombytes(np.fromiter(map(values.__getitem__, texts), np.float64, n).tobytes())
+            if bounds is None:
+                n = len(fields) // 3
+                src = np.fromiter(map(ids.__getitem__, fields[0::3]), np.int32, n)
+                dst = np.fromiter(map(ids.__getitem__, fields[1::3]), np.int32, n)
+                if len(values) > _BLOCK:
+                    values.clear()
+                weight = np.fromiter(map(values.__getitem__, fields[2::3]), np.float64, n)
+            else:
+                src, dst, weight = _table_columns(data, *bounds, nodes, texts)
+                n_lines = len(weight)
         except (ValueError, OverflowError):  # float.fromhex raises both
-            for k, text in zip(rows, texts):
-                try:
-                    float.fromhex(text)
-                except (ValueError, OverflowError) as exc:
-                    raise NetworkFormatError(f"{source}:{line_no + k}", f"bad weight {text!r}") from exc
+            _raise_bad_weight(block, source, line_no)
             raise
+        srcs.frombytes(memoryview(src).cast("B"))
+        dsts.frombytes(memoryview(dst).cast("B"))
+        weights.frombytes(memoryview(weight).cast("B"))
         line_no += n_lines
     return ids, srcs, dsts, weights
 

@@ -92,6 +92,17 @@ class TestBuildNetwork:
         assert capsys.readouterr().err == f"error: --postings-cap must be >= 1, got {cap}\n"
         assert not net.exists()
 
+    def test_postings_cap_on_an_occurrence_relation_is_an_error(self, repo_file, tmp_path, capsys):
+        # the cap applies only to co-occurrence values; it used to be ignored
+        net = tmp_path / "net.tsv"
+        rc = main(["build-network", str(repo_file), "--relation", "cite",
+                   "--postings-cap", "5", "--output", str(net)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --postings-cap applies only to co-occurrence relations\n"
+        )
+        assert not net.exists()
+
 
 class TestPropagate:
     def _build(self, repo_file, tmp_path):
@@ -241,6 +252,30 @@ class TestExperiment:
                    "--postings-cap", "0", "--output", str(results)])
         assert rc == 1
         assert capsys.readouterr().err == "error: --postings-cap must be >= 1, got 0\n"
+        assert not results.exists()
+
+    def test_unknown_property_is_an_error(self, tmp_path, capsys):
+        # it used to exit 0 with 55 rows that scored 0 over 0 nodes
+        corpus = _corpus_file(tmp_path)
+        results = tmp_path / "results.tsv"
+        rc = main(["experiment", str(corpus), "--relations", "cokey",
+                   "--properties", "nosuch", "--runs", "1", "--seed", "3",
+                   "--output", str(results)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: no property 'nosuch' in repository; its property types: auth, jour, key\n"
+        )
+        assert not results.exists()
+
+    def test_empty_densities_is_an_error(self, tmp_path, capsys):
+        # it used to run no job and end with "all cells failed"
+        corpus = _corpus_file(tmp_path)
+        results = tmp_path / "results.tsv"
+        rc = main(["experiment", str(corpus), "--relations", "cokey",
+                   "--properties", "jour", "--densities", "", "--seed", "3",
+                   "--output", str(results)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: densities must not be empty\n"
         assert not results.exists()
 
     def test_landscapes_written(self, tmp_path):

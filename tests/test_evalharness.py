@@ -238,6 +238,21 @@ class TestRunExperiment:
         assert result.rows  # cokey cells survived
         assert result.errors  # occurrence over a property nobody has
 
+    def test_unknown_target_property_is_an_error(self, monkeypatch):
+        # it used to give a full grid of rows scoring 0 over 0 nodes
+        built = []
+        monkeypatch.setattr(evalharness, "build_relation_network", lambda *a, **k: built.append(a))
+        repo = two_cluster_corpus(n_records=20, seed=0)
+        message = "no property 'nosuch' in repository; its property types: auth, jour, key"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(repo, _small_cfg(target_properties=("jour", "nosuch")))
+        assert not built  # raised before any network was built
+
+    @pytest.mark.parametrize("axis", ["network_relations", "target_properties", "densities", "percentiles"])
+    def test_empty_axis_is_an_error(self, axis):
+        with pytest.raises(ValueError, match=f"^{axis} must not be empty$"):
+            _small_cfg(**{axis: ()})
+
     def test_data_error_in_walk_becomes_cell_error(self, monkeypatch):
         def walk(net, seeds, cfg, payload):
             raise ValueError("bad data")

@@ -448,6 +448,127 @@ class TestBlockedIO:
             load_network(path)
 
 
+def network_of(ids, edges):
+    """A co-occurrence network over ``ids`` from (src, dst, weight) index
+    triples in any order."""
+    edges = sorted(edges)
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.add.at(indptr, [i + 1 for i, _, _ in edges], 1)
+    return AssociativeNetwork(
+        Relation(COOCCURRENCE, "key"), ids, np.cumsum(indptr),
+        [j for _, j, _ in edges], [w for _, _, w in edges],
+    )
+
+
+def all_pairs(ids, weight=lambda i, j: 1.0 / (1 + i + j)):
+    n = len(ids)
+    return network_of(ids, [(i, j, weight(i, j)) for i in range(n) for j in range(n) if i != j])
+
+
+@pytest.fixture
+def table_lookups(monkeypatch):
+    """Counts the fields looked up in a _FieldTable, to tell which path read
+    a file."""
+    count = [0]
+    lookup = netbuild._FieldTable.lookup
+
+    def counted(self, data, starts, widths):
+        count[0] += len(starts)
+        return lookup(self, data, starts, widths)
+
+    monkeypatch.setattr(netbuild._FieldTable, "lookup", counted)
+    return count
+
+
+def assert_round_trip(net, path):
+    save_network(net, path)
+    loaded = load_network(path)
+    assert loaded == net and loaded.dangling == net.dangling
+
+
+class TestTableLoad:
+    """Blocks of edge lines only are read through _FieldTables."""
+
+    @pytest.mark.parametrize(
+        "ids, fields_per_edge",
+        [
+            (["a", "a\x00", "a\x00\x00", "ab", "b", "abcdefg", "abcdefgh", "abcdefgh\x00",
+              "abcdefghi", "\x00", "\x00\x00", "é", "e\u0301"], 3),
+            (["prefix01", "prefix01a", "prefix01b", "prefix01prefix02", "prefix01prefix02a",
+              "prefix01prefix02b", "prefix02"], 3),
+            (["x" * 63 + "a", "x" * 63 + "b", "y" * 64], 3),
+            (["x" * 64 + "a", "x" * 64 + "b", "y"], 0),  # past the cap: read line by line
+        ],
+        ids=["trailing-nul-or-width", "8-byte-prefix", "64-bytes", "past-64-bytes"],
+    )
+    def test_ids_round_trip(self, tmp_path, table_lookups, ids, fields_per_edge):
+        net = all_pairs(sorted(ids))
+        assert_round_trip(net, tmp_path / "net.tsv")
+        assert table_lookups[0] == fields_per_edge * net.edge_count
+
+    def test_more_distinct_weights_than_table_slots(self, tmp_path, table_lookups):
+        ids = [f"n{i:03d}" for i in range(270)]
+        net = all_pairs(ids, lambda i, j: 1.0 + (i * 270 + j) * 2.0**-40)
+        assert len(np.unique(net.weights)) > 1 << netbuild._SLOT_BITS
+        assert_round_trip(net, tmp_path / "net.tsv")
+        assert table_lookups[0] == 3 * net.edge_count
+
+    def test_non_canonical_hex_weights(self, tmp_path, table_lookups):
+        texts = ["0X1P-3", " 0x1p-3", "0x.8p0", "0x1p-3 ", "0x1.0000000000000p-3", "0x2p-4", "\x0b0x1p-3"]
+        ids = [f"n{i}" for i in range(len(texts) + 1)]
+        lines = [f"n{i}\tn{i + 1}\t{text}\n" for i, text in enumerate(texts)]
+        path = tmp_path / "net.tsv"
+        path.write_text(f"cokey\t{len(ids)}\t{len(lines)}\t0\t0\n" + "".join(lines[::-1]))
+        expected = network_of(ids, [(i, i + 1, float.fromhex(t)) for i, t in enumerate(texts)])
+        assert load_network(path) == expected
+        assert table_lookups[0] == 3 * len(lines)
+
+    def test_shuffled_multi_block_file(self, big_network_file, tmp_path, table_lookups):
+        net, saved = big_network_file
+        header, *body = saved.read_text().splitlines(keepends=True)
+        random.Random(5).shuffle(body)
+        path = tmp_path / "shuffled.tsv"
+        path.write_text(header + "".join(body))
+        assert load_network(path) == net
+        assert table_lookups[0] == 3 * net.edge_count
+
+    def test_forced_collision_reads_every_field_exactly(self, big_network_file, tmp_path, monkeypatch):
+        # every key in one slot: a hit still needs equal words, and a field
+        # whose text lost the slot to another text is made on its own
+        monkeypatch.setattr(
+            netbuild._FieldTable, "hash",
+            staticmethod(lambda widths, words: np.zeros(len(widths), dtype=np.uint64)),
+        )
+        net, saved = big_network_file
+        assert load_network(saved) == net
+        ids = sorted(["a", "a\x00", "ab", "abcdefgh", "abcdefgh\x00", "abcdefghi", "prefix01a",
+                      "prefix01b", "prefix01prefix02a", "prefix01prefix02b"])
+        assert_round_trip(all_pairs(ids), tmp_path / "net.tsv")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({150_000: "zz", 150_005: "yy", 150_010: "zz"}, ":150002: bad weight 'zz'"),
+            ({150_000: "0x1p99999", 150_005: "zz"}, ":150002: bad weight '0x1p99999'"),
+            ({150_005: "zz", 150_000: "0x1p-3", 150_010: "0x1p-3"}, ":150007: bad weight 'zz'"),
+        ],
+        ids=["repeated", "overflow-first", "after-good"],
+    )
+    def test_bad_weight_in_a_later_block_names_its_line(self, big_network_file, tmp_path, bad, message):
+        _, saved = big_network_file
+        path = tmp_path / "net.tsv"
+        path.write_bytes(saved.read_bytes())
+
+        def edit(body):
+            for k, text in bad.items():
+                body[k] = body[k].rsplit("\t", 1)[0] + f"\t{text}\n"
+            return body
+
+        rewrite_body(path, edit)
+        with pytest.raises(NetworkFormatError, match=message):
+            load_network(path)
+
+
 IDS = st.text(
     st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)),
     min_size=1,

@@ -1,3 +1,4 @@
+import json
 import runpy
 from pathlib import Path
 
@@ -15,3 +16,13 @@ def test_synthetic_experiment_runs(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert f"60 records, 220 grid cells -> {output}" in out
     assert err == ""  # no cell errors
+
+
+def test_bench_network_io_runs(capsys):
+    # toy size: one save process and one load process
+    main = runpy.run_path(str(SCRIPTS / "bench_network_io.py"))["main"]
+    assert main(["--records", "300", "--repeat", "1"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["network"]["records"] == 300 and report["network"]["edges"] > 0
+    assert len(report["save_wall_s"]) == len(report["load_wall_s"]) == 1
+    assert len(report["file_sha256"]) == len(report["arrays_sha256"]) == 64
