@@ -14,6 +14,7 @@ names that start with "co".
 from __future__ import annotations
 
 import argparse
+import os
 import random as _random
 import sys
 
@@ -39,7 +40,10 @@ def cmd_ingest(args) -> int:
             repo = records.ingest(fh)
     except (OSError, records.RecordError) as exc:
         return _err(str(exc))
-    records.save_repository(repo, args.output)
+    try:
+        records.save_repository(repo, args.output)
+    except OSError as exc:
+        return _err(str(exc))
     print(f"{len(repo)} records, {len(repo.property_types())} property types")
     return 0
 
@@ -78,7 +82,10 @@ def cmd_build(args) -> int:
             )
     if not args.no_normalize:
         net = netbuild.normalize(net)
-    netbuild.save_network(net, args.output)
+    try:
+        netbuild.save_network(net, args.output)
+    except OSError as exc:
+        return _err(str(exc))
     print(
         f"relation={net.relation.label} nodes={len(net.ids)} "
         f"directed_edges={net.edge_count} unordered_pairs={net.pair_count} "
@@ -114,7 +121,10 @@ def cmd_propagate(args) -> int:
         result = swarm.propagate(net, repo, cfg)
     except records.UnknownResourceError as exc:
         return _err(str(exc))
-    swarm.save_store(result.store, args.output)
+    try:
+        swarm.save_store(result.store, args.output)
+    except OSError as exc:
+        return _err(str(exc))
     print(result.report())
     return 0
 
@@ -151,15 +161,23 @@ def cmd_experiment(args) -> int:
         )
     except ValueError as exc:
         return _err(str(exc))
+    if args.landscape_dir:
+        try:  # before the grid runs, so an unusable directory fails at once
+            os.makedirs(args.landscape_dir, exist_ok=True)
+        except OSError as exc:
+            return _err(str(exc))
     try:
         result = evalharness.run_experiment(
             repo, cfg, workers=args.workers, max_postings=args.postings_cap
         )
     except ValueError as exc:
         return _err(str(exc))
-    evalharness.save_results(result.rows, args.output)
-    if args.landscape_dir:
-        evalharness.write_landscapes(result.rows, args.landscape_dir)
+    try:
+        evalharness.save_results(result.rows, args.output)
+        if args.landscape_dir:
+            evalharness.write_landscapes(result.rows, args.landscape_dir)
+    except OSError as exc:
+        return _err(str(exc))
     _print_pair_tables(evalharness.pair_summaries(result.rows))
     for e in result.errors:
         print(

@@ -321,31 +321,15 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     )
 
 
-_BLOCK = 1 << 16  # edge lines per written block; also the parsed-weight cache's bound
+_BLOCK = 1 << 16  # edge lines per written block
 _READ_CHARS = 1 << 18  # characters per read block
-_EDGE_SEPARATORS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
 _SLOT_BITS = 16  # a _FieldTable has 2**16 slots
 _SLOT_SHIFT = np.uint64(64 - _SLOT_BITS)  # a key's top bits pick its slot
-_WORDS = 8  # the widest field a _FieldTable holds, in 64-bit words
+_WORDS = 8  # a _FieldTable key's words: fields up to 64 bytes can hit, wider ones never do
 _BYTE_MASKS = np.array([(1 << 8 * v) - 1 for v in range(9)], dtype=np.uint64)  # low v bytes
 _WORD_MIX = np.array(  # odd multipliers, one per word
     [0x9E3779B97F4A7C15 * (2 * j + 1) % 2**64 for j in range(_WORDS)], dtype=np.uint64
 )
-
-
-class _Memo(dict):
-    """A dict that fills in a missing key with ``make(key)``: a new key costs
-    one Python call, a repeated one a C-level lookup."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
 
 
 def save_network(net: AssociativeNetwork, destination) -> None:
@@ -406,60 +390,50 @@ def _blocks(fh):
         yield carry + "\n"
 
 
-def _line_fields(block: str, ids: _Memo, source, line_no: int):
-    """Read a block line by line: isolated node lines are numbered into
-    ``ids``, blank lines are skipped and edge lines are split into their
-    fields, ``src, dst, weight`` per line; any other line is rejected.
-    Also give the block's line count."""
-    lines = block.split("\n")
-    lines.pop()
-    rows = []
-    for k, line in enumerate(lines):
-        n_tabs = line.count("\t")
-        if n_tabs == 2:
-            rows.append(k)
-        elif n_tabs == 0:
-            if line:
-                ids[line]  # numbers an isolated node
-        else:
-            raise NetworkFormatError(
-                f"{source}:{line_no + k}", f"expected 1 or 3 fields, got {n_tabs + 1}"
-            )
-    fields = "\t".join([lines[k] for k in rows]).split("\t") if rows else []
-    return fields, len(lines)
+def _fields(data: bytes, source, line_no: int):
+    """The fields of a block of lines starting at file line ``line_no``,
+    bounded and sorted by kind.
 
+    One scan for tabs and newlines bounds every field, and a line's count
+    of separators is its field count: three fields make an edge line
+    ``src, dst, weight``, one non-empty field an isolated node line and one
+    empty field a blank line.  Any other line is rejected here, before any
+    weight is read.
 
-def _field_bounds(data: bytes):
-    """The start and width in bytes of every field of a block of edge lines
-    only, as two (lines, 3) arrays; None when the block must be read line by
-    line.
-
-    One scan for tabs and newlines bounds every field.  A block of edge
-    lines only is recognised by its separators, which must run tab, tab,
-    newline.  A block with a field wider than _WORDS words is read line by
-    line too.
+    Gives the start and width in bytes of the isolated nodes', then every
+    source's, then every destination's field; those of every weight field;
+    and the block's line count.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero((raw == 9) | (raw == 10))
-    if len(ends) % 3 or np.any(raw[ends].reshape(-1, 3) != _EDGE_SEPARATORS):
-        return None
+    last = np.flatnonzero(raw.take(ends) == 10)  # each line's last field
+    counts = np.diff(last, prepend=-1)
+    edge = counts == 3
+    bad = np.flatnonzero(~edge & (counts != 1))
+    if bad.size:
+        k = int(bad[0])
+        raise NetworkFormatError(
+            f"{source}:{line_no + k}", f"expected 1 or 3 fields, got {counts[k]}"
+        )
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     widths = ends - starts
-    if widths.max() > 8 * _WORDS:
-        return None
-    return starts.reshape(-1, 3), widths.reshape(-1, 3)
+    single = last[~edge]
+    weight = last[edge]
+    node = np.concatenate((single[widths.take(single) > 0], weight - 2, weight - 1))
+    node_fields = starts.take(node), widths.take(node)
+    return node_fields, (starts.take(weight), widths.take(weight)), len(last)
 
 
 def _words(aligned: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Each field's bytes as little-endian 64-bit words, zero past its
-    width: row j holds every field's word j.  ``aligned`` is the block as
-    64-bit words, ending in _WORDS + 1 zero words.  A word at an unaligned
-    offset is put together from the two aligned words it straddles, which
-    numpy gathers several times faster than it gathers from a byte-strided
-    view."""
-    k = max(1, (int(widths.max()) + 7) // 8)
+    """Each field's first _WORDS * 8 bytes as little-endian 64-bit words,
+    zero past its width: row j holds every field's word j.  ``aligned`` is
+    the block as 64-bit words, ending in _WORDS + 1 zero words.  A word at
+    an unaligned offset is put together from the two aligned words it
+    straddles, which numpy gathers several times faster than it gathers
+    from a byte-strided view."""
+    k = min(_WORDS, max(1, (int(widths.max(initial=0)) + 7) // 8))
     at = starts >> 3
     shift = ((starts & 7) << 3).astype(np.uint64)
     back = np.uint64(63) - shift  # after a 1-bit shift: 64 - shift, never a full 64
@@ -482,20 +456,22 @@ class _FieldTable:
     whole column of fields at a time without making a Python object per
     field.
 
-    A field of up to _WORDS words is keyed by its width and its bytes read
-    as little-endian 64-bit words, zero past the width (so "a" and "a\\x00"
+    A field is keyed by its width and its first _WORDS words, read as
+    little-endian 64-bit words, zero past the width (so "a" and "a\\x00"
     differ by width).  A multiply-xor hash of the key picks one of
     2**_SLOT_BITS slots, and each slot holds the full key of the last text
     stored there.  A field is a hit only when its width and every word equal
     its slot's, so a lookup is exact: texts that share a hash or a slot are
-    never taken for one another.
+    never taken for one another.  Only fields of up to _WORDS words, whose
+    key is their whole text, are stored, so a wider field never hits.
 
     Missed fields are grouped by slot, and one field of each group takes
     the slot: its text is decoded once, given its value by ``make`` and
     stored with its key.  The group's other fields are then checked word
     for word against that key; those that hold a different text (a
-    collision within the block) are decoded and given to ``make`` one by
-    one.  A collision so costs time, never a wrong value.
+    collision within the block, or a field too wide to store) are decoded
+    and given to ``make`` one by one.  A collision so costs time, never a
+    wrong value.
     """
 
     def __init__(self, dtype, make):
@@ -540,10 +516,11 @@ class _FieldTable:
         return differs
 
     def _store(self, data, starts, widths, words, slot) -> None:
-        """Store one of the given fields in each slot that they name."""
+        """Store one of the given fields in each slot that they name, unless
+        that field is too wide to be its own key."""
         fields = np.arange(len(slot), dtype=np.int32)
         self.owner[slot] = fields
-        first = np.flatnonzero(self.owner.take(slot) == fields)
+        first = np.flatnonzero((self.owner.take(slot) == fields) & (widths <= 8 * _WORDS))
         slot = slot[first]
         self.values[slot] = self._make_each(data, starts[first], widths[first])
         self.widths[slot] = widths[first]
@@ -554,16 +531,6 @@ class _FieldTable:
         """``make`` of each field's text, decoded one field at a time."""
         texts = [data[s : s + w].decode() for s, w in zip(starts.tolist(), widths.tolist())]
         return np.fromiter(map(self.make, texts), self.values.dtype, len(texts))
-
-
-def _table_columns(data: bytes, starts, widths, nodes: _FieldTable, weights: _FieldTable):
-    """A block of edge lines' source and destination numbers, looked up in
-    ``nodes``, and weights, looked up in ``weights``."""
-    padded = data + bytes(8 * (_WORDS + 1))
-    # every source, then every destination
-    node = nodes.lookup(padded, starts[:, :2].T.ravel(), widths[:, :2].T.ravel())
-    weight = weights.lookup(padded, starts[:, 2], widths[:, 2])
-    return node[: len(starts)], node[len(starts) :], weight
 
 
 def _raise_bad_weight(block: str, source, line_no: int) -> None:
@@ -585,40 +552,31 @@ def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
     provisional numbers (to be renumbered by sorted id), and each edge's
     source number, destination number and weight in flat typed arrays.
 
-    The text is read in blocks.  A block of edge lines only is read as
-    numpy arrays of its UTF-8 bytes: its ids and weight texts are looked up
-    in two _FieldTables, so a repeated text costs no Python call.  Any other
-    block is read line by line, and its weight texts are parsed through a
-    cache cleared when it passes _BLOCK entries.  A bad weight text is
-    reported at the first line that holds one.
+    The text is read in blocks, each as numpy arrays of its UTF-8 bytes.
+    _fields bounds and sorts every field of a block and rejects a bad line;
+    the node ids are then looked up in one _FieldTable and the weight texts
+    in another, so a repeated text costs no Python call.  A bad weight text
+    is reported at the first line that holds one.
     """
-    ids = _Memo(lambda node: len(ids))
-    values = _Memo(float.fromhex)
-    nodes = _FieldTable(np.int32, ids.__getitem__)
+    ids: Dict[str, int] = {}
+    nodes = _FieldTable(np.int32, lambda node: ids.setdefault(node, len(ids)))
     texts = _FieldTable(np.float64, float.fromhex)
     srcs, dsts, weights = array("i"), array("i"), array("d")
     line_no = 2
     for block in _blocks(fh):
         data = _utf8(block, source, line_no)
-        bounds = _field_bounds(data)
-        if bounds is None:  # lines of other kinds are checked before any weight
-            fields, n_lines = _line_fields(block, ids, source, line_no)
+        node_fields, weight_fields, n_lines = _fields(data, source, line_no)
+        padded = data + bytes(8 * (_WORDS + 1))
+        node = nodes.lookup(padded, *node_fields)  # numbers the isolated nodes too
         try:
-            if bounds is None:
-                n = len(fields) // 3
-                src = np.fromiter(map(ids.__getitem__, fields[0::3]), np.int32, n)
-                dst = np.fromiter(map(ids.__getitem__, fields[1::3]), np.int32, n)
-                if len(values) > _BLOCK:
-                    values.clear()
-                weight = np.fromiter(map(values.__getitem__, fields[2::3]), np.float64, n)
-            else:
-                src, dst, weight = _table_columns(data, *bounds, nodes, texts)
-                n_lines = len(weight)
+            weight = texts.lookup(padded, *weight_fields)
         except (ValueError, OverflowError):  # float.fromhex raises both
             _raise_bad_weight(block, source, line_no)
             raise
-        srcs.frombytes(memoryview(src).cast("B"))
-        dsts.frombytes(memoryview(dst).cast("B"))
+        n = len(weight)
+        endpoints = node[len(node) - 2 * n :]  # past the isolated nodes
+        srcs.frombytes(memoryview(endpoints[:n]).cast("B"))
+        dsts.frombytes(memoryview(endpoints[n:]).cast("B"))
         weights.frombytes(memoryview(weight).cast("B"))
         line_no += n_lines
     return ids, srcs, dsts, weights

@@ -63,11 +63,11 @@ def make_record(rid: str, properties: Mapping[str, Iterable[str]]) -> ResourceRe
     props: Dict[str, FrozenSet[str]] = {}
     for mu, vals in properties.items():
         _check_token(mu, "property type")
-        frozen = frozenset(vals)
-        for v in frozen:
+        vals = tuple(vals)
+        for v in vals:  # before frozenset, which cannot hash a list
             _check_value(v, f"value of {mu!r}")
-        if frozen:
-            props[mu] = frozen
+        if vals:
+            props[mu] = frozenset(vals)
     return ResourceRecord(rid, props)
 
 

@@ -54,6 +54,15 @@ class TestIngest:
         assert main(["ingest", str(path), str(tmp_path / "repo.jsonl")]) == 0
         assert "0 records" in capsys.readouterr().out
 
+    def test_non_string_value_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "properties": {"k": [["x"]]}}\n')
+        rc = main(["ingest", str(path), str(tmp_path / "repo.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: value of 'k' must be a non-empty string, got ['x']\n"
+        )
+
 
 class TestBuildNetwork:
     def test_citation_counts(self, repo_file, tmp_path, capsys):
@@ -286,6 +295,43 @@ class TestExperiment:
                      "--densities", "0.41", "--output", str(tmp_path / "r.tsv"),
                      "--landscape-dir", str(land)]) == 0
         assert (land / "cokey__jour.tsv").exists()
+
+
+def assert_one_error(capsys, argv, reason):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "build-network", "propagate", "experiment"])
+def test_unwritable_output_is_an_error(command, record_file, repo_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "out")
+    net = tmp_path / "net.tsv"
+    assert main(["build-network", str(repo_file), "--relation", "cite", "--output", str(net)]) == 0
+    argv = {
+        "ingest": ["ingest", str(record_file), missing],
+        "build-network": ["build-network", str(repo_file), "--relation", "cite", "--output", missing],
+        "propagate": ["propagate", str(net), str(repo_file), "--seed", "1", "--output", missing],
+        "experiment": ["experiment", str(_corpus_file(tmp_path)), "--relations", "cokey",
+                       "--properties", "jour", "--runs", "1", "--seed", "3", "--densities", "0.41",
+                       "--percentiles", "0", "--output", missing],
+    }[command]
+    assert_one_error(capsys, argv, "No such file or directory")
+
+
+def test_landscape_dir_naming_a_file_fails_before_the_grid(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    results = tmp_path / "r.tsv"
+    assert_one_error(
+        capsys,
+        ["experiment", str(_corpus_file(tmp_path)), "--relations", "cokey", "--properties", "jour",
+         "--runs", "1", "--seed", "3", "--output", str(results), "--landscape-dir", str(taken)],
+        "File exists",
+    )
+    assert not results.exists()
 
 
 class TestReport:

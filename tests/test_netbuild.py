@@ -487,7 +487,7 @@ def assert_round_trip(net, path):
 
 
 class TestTableLoad:
-    """Blocks of edge lines only are read through _FieldTables."""
+    """Every block is read through _FieldTables."""
 
     @pytest.mark.parametrize(
         "ids, fields_per_edge",
@@ -497,7 +497,7 @@ class TestTableLoad:
             (["prefix01", "prefix01a", "prefix01b", "prefix01prefix02", "prefix01prefix02a",
               "prefix01prefix02b", "prefix02"], 3),
             (["x" * 63 + "a", "x" * 63 + "b", "y" * 64], 3),
-            (["x" * 64 + "a", "x" * 64 + "b", "y"], 0),  # past the cap: read line by line
+            (["x" * 64 + "a", "x" * 64 + "b", "y"], 3),  # wider than a key: never stored
         ],
         ids=["trailing-nul-or-width", "8-byte-prefix", "64-bytes", "past-64-bytes"],
     )
@@ -514,7 +514,8 @@ class TestTableLoad:
         assert table_lookups[0] == 3 * net.edge_count
 
     def test_non_canonical_hex_weights(self, tmp_path, table_lookups):
-        texts = ["0X1P-3", " 0x1p-3", "0x.8p0", "0x1p-3 ", "0x1.0000000000000p-3", "0x2p-4", "\x0b0x1p-3"]
+        texts = ["0X1P-3", " 0x1p-3", "0x.8p0", "0x1p-3 ", "0x1.0000000000000p-3", "0x2p-4", "\x0b0x1p-3",
+                 " " * 70 + "0x1p-3"]
         ids = [f"n{i}" for i in range(len(texts) + 1)]
         lines = [f"n{i}\tn{i + 1}\t{text}\n" for i, text in enumerate(texts)]
         path = tmp_path / "net.tsv"
@@ -522,6 +523,35 @@ class TestTableLoad:
         expected = network_of(ids, [(i, i + 1, float.fromhex(t)) for i, t in enumerate(texts)])
         assert load_network(path) == expected
         assert table_lookups[0] == 3 * len(lines)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_isolated_blank_and_edge_lines_in_one_block(self, tmp_path, table_lookups, newline):
+        wide = "w" * 70
+        ids = ["a", "b", "c", "i", wide]
+        edges = [(0, 1, 0.5), (1, 0, 0.25), (2, 0, 1.0 / 3.0)]
+        lines = ["i", "", f"a\tb\t{0.5.hex()}", wide, "", f"c\ta\t{(1.0 / 3.0).hex()}",
+                 f"b\ta\t{0.25.hex()}", ""]
+        path = tmp_path / "net.tsv"
+        path.write_bytes(
+            f"cokey\t{len(ids)}\t{len(edges)}\t0\t0{newline}".encode()
+            + "".join(line + newline for line in lines).encode()
+        )
+        assert load_network(path) == network_of(ids, edges)
+        assert table_lookups[0] == 2 + 3 * len(edges)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["a\tb\tzz", "b\ta\t0x1p-1", "", "c", "a\tc"], ":6: expected 1 or 3 fields, got 2"),
+            (["a\tb\t0x1p-1", "b\ta\t0x1p-1\tx"], ":3: expected 1 or 3 fields, got 4"),
+        ],
+        ids=["two-fields-after-bad-weight", "four-fields"],
+    )
+    def test_bad_line_is_named_before_any_weight_is_read(self, tmp_path, lines, message):
+        path = tmp_path / "net.tsv"
+        path.write_text(f"cokey\t3\t{len(lines)}\t0\t0\n" + "".join(line + "\n" for line in lines))
+        with pytest.raises(NetworkFormatError, match=message):
+            load_network(path)
 
     def test_shuffled_multi_block_file(self, big_network_file, tmp_path, table_lookups):
         net, saved = big_network_file

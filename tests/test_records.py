@@ -52,6 +52,14 @@ class TestIngest:
         with pytest.raises(RecordError):
             ingest(_lines({"id": "m1", "properties": {"a b": ["x"]}}))
 
+    @pytest.mark.parametrize("value", [["x"], {"x": 1}, 1, None])
+    def test_non_string_value_rejected(self, value):
+        # a list or object value used to end in "TypeError: unhashable type"
+        message = f"line 1: value of 'k' must be a non-empty string, got {value!r}"
+        with pytest.raises(RecordError) as caught:
+            ingest(_lines({"id": "m1", "properties": {"k": ["a", value]}}))
+        assert str(caught.value) == message
+
 
 class TestMeta:
     def test_returns_ingested_set(self):
