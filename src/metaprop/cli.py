@@ -14,6 +14,7 @@ names that start with "co".
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import random as _random
 import sys
@@ -161,11 +162,16 @@ def cmd_experiment(args) -> int:
         )
     except ValueError as exc:
         return _err(str(exc))
-    if args.landscape_dir:
-        try:  # before the grid runs, so an unusable directory fails at once
+    try:  # before the grid runs, so an unusable path fails at once; the
+        # results file is not opened, which would truncate an existing one
+        if os.path.isdir(args.output):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+        if not os.path.isdir(os.path.dirname(args.output) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+        if args.landscape_dir:
             os.makedirs(args.landscape_dir, exist_ok=True)
-        except OSError as exc:
-            return _err(str(exc))
+    except OSError as exc:
+        return _err(str(exc))
     try:
         result = evalharness.run_experiment(
             repo, cfg, workers=args.workers, max_postings=args.postings_cap

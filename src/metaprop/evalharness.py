@@ -5,10 +5,11 @@ over a (density x percentile) grid averaged across repeated runs.
 
 ``kill_meta``, ``swarm.propagate`` and ``accept_meta`` define what a grid job
 scores.  The job does the same work once per run: the target property's
-holders and values are numbered once per grid, atrophy is a mask over node
-numbers, the walk carries only the target property from the nodes that
-keep it to the atrophied ones, and every percentile's threshold is read
-from one sort of the summed deposits.  Sums of floats run left to right,
+holders and values are numbered once per grid by ``netbuild.numbered_values``,
+atrophy is a mask over node numbers, one ``swarm._walk`` call carries only
+the target property from the nodes that keep it to the atrophied ones and
+sums its deposits, and every percentile's threshold is read from one sort
+of those sums.  Sums of floats run left to right,
 so results bytes do not depend on the Python version.
 """
 
@@ -26,23 +27,16 @@ import numpy as np
 from .netbuild import (
     COOCCURRENCE,
     AssociativeNetwork,
+    NumberedValues,
+    RelationError,
     build_cooccurrence,
     build_occurrence,
     normalize,
+    numbered_values,
     parse_relation,
 )
 from .records import Repository, ResourceRecord
-from .swarm import (
-    NumberedValues,
-    PropagationConfig,
-    RecommendationStore,
-    _deposit_totals,
-    _node_seeds,
-    _numbered_values,
-    _sequential_sum,
-    _walk,
-    derive_seed,
-)
+from .swarm import PropagationConfig, RecommendationStore, _sequential_sum, _walk, derive_seed
 
 DEFAULT_DENSITIES = (0.01, 0.21, 0.41, 0.61, 0.81)
 DEFAULT_PERCENTILES = tuple(round(i / 10, 1) for i in range(11))
@@ -195,12 +189,6 @@ def build_relation_network(
     return normalize(net)
 
 
-def _target(repo: Repository, mu_x: str) -> NumberedValues:
-    """One target property over the repository's records in id order, which
-    is the node order of every network built from it."""
-    return _numbered_values([rec.values(mu_x) or None for rec in repo])
-
-
 def _run_cell_once(
     net: AssociativeNetwork,
     target: NumberedValues,
@@ -221,9 +209,8 @@ def _run_cell_once(
     atrophied = np.zeros(n, dtype=bool)
     atrophied[_atrophy_pick(n, np.flatnonzero(target.holds).tolist(), 1.0 - density, rng)] = True
     payload = (target.holds & ~atrophied, atrophied, target)
-    (ticks,), _, _, _ = _walk(net, _node_seeds(net.ids, seed), prop_cfg, [payload])
+    ((keys, _, totals),), _, _, _ = _walk(net, seed, prop_cfg, [payload])
     n_values = len(target.names)
-    keys, _, totals = _deposit_totals(ticks)
     truth_sizes = np.diff(target.value_ptr)
     truth_keys = np.repeat(np.arange(n) * n_values, truth_sizes) + target.value_ids
     # every entry by node, then energy: an entry's accepted values at rho
@@ -297,16 +284,31 @@ def run_experiment(
     once, then score every percentile.  Networks are built once per mu_y
     from the full repository.  Results are independent of ``workers``; a
     job whose worker process dies is reported as a ``CellError``.  A
-    target property that no record holds is an error, raised before any
-    network is built."""
+    target property that no record holds, or a ``max_postings`` below 1 or
+    with an occurrence relation, is an error, raised before any network is
+    built."""
     properties = repo.property_types()
     for mu_x in cfg.target_properties:
         if mu_x not in properties:
             raise ValueError(
                 f"no property {mu_x!r} in repository; its property types: {', '.join(properties)}"
             )
+    if max_postings is not None:
+        if max_postings < 1:  # it would drop every value
+            raise ValueError(f"a postings cap must be >= 1, got {max_postings}")
+        for mu_y in cfg.network_relations:
+            try:
+                kind = parse_relation(mu_y).kind
+            except RelationError:
+                continue  # its cells report the bad label
+            if kind != COOCCURRENCE:
+                raise ValueError(
+                    f"a postings cap applies only to co-occurrence relations, not {mu_y!r}"
+                )
     networks: Dict[str, AssociativeNetwork] = {}
-    targets = {mu_x: _target(repo, mu_x) for mu_x in cfg.target_properties}
+    # records in id order, which is the node order of every network built here
+    records = list(repo)
+    targets = {mu_x: numbered_values(records, mu_x) for mu_x in cfg.target_properties}
     errors: List[CellError] = []
     jobs = []
     for mu_y in cfg.network_relations:
@@ -335,7 +337,10 @@ def run_experiment(
             outcomes = [_outcome(future, args) for future, args in zip(futures, jobs)]
     else:
         _init_worker(networks, targets)
-        outcomes = [_job(args) for args in jobs]
+        try:
+            outcomes = [_job(args) for args in jobs]
+        finally:  # this process is no worker: let the networks go with the call
+            _WORKER_STATE.clear()
     for (mu_y, mu_x, d_idx, run), (status, value) in outcomes:
         if status == "ok":
             results[(mu_y, mu_x, d_idx, run)] = value

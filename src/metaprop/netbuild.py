@@ -20,12 +20,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse
 
-from .records import Repository
+from .records import Repository, ResourceRecord
 
 OCCURRENCE = "occurrence"
 COOCCURRENCE = "cooccurrence"
@@ -224,6 +225,32 @@ def _indptr(src: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
+class NumberedValues(NamedTuple):
+    """One property over numbered nodes: which node holds which values,
+    each value numbered by its place in name order."""
+
+    holds: np.ndarray  # mask of the nodes that hold one value or more
+    names: List[str]  # the property's values, sorted
+    value_ptr: np.ndarray  # node i's value numbers, ascending, are
+    value_ids: np.ndarray  # value_ids[value_ptr[i]:value_ptr[i + 1]]
+
+
+def numbered_values(records: Sequence[ResourceRecord], mu: str) -> NumberedValues:
+    """Property ``mu`` over ``records``, where node i is the i-th record."""
+    columns = [rec.values(mu) for rec in records]
+    sizes = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
+    names = sorted(set().union(*columns))
+    number = {x: k for k, x in enumerate(names)}
+    value_ptr = np.concatenate(([0], np.cumsum(sizes)))
+    numbers = np.fromiter(
+        map(number.__getitem__, chain.from_iterable(columns)), dtype=np.int64, count=value_ptr[-1]
+    )
+    # the numbers come out node by node; one sort of node * len(names) +
+    # number puts each node's run in ascending order
+    base = np.repeat(np.arange(len(columns)) * len(names), sizes)
+    return NumberedValues(sizes > 0, names, value_ptr, np.sort(base + numbers) - base)
+
+
 def build_occurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     """Network of direct references: each listed target gets weight
     1/|values|, where the denominator counts ALL listed values (including
@@ -232,27 +259,22 @@ def build_occurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     ``dangling``.
     """
     ids = repo.ids()
-    index = {rid: i for i, rid in enumerate(ids)}
-    indptr = [0]
-    indices = array("i")
-    weights = array("d")
-    dangling = 0
-    for rec in repo:  # sorted by id, so rows come out in node order
-        vals = rec.values(mu)
-        if vals:
-            w = 1.0 / len(vals)
-            for target in sorted(vals):
-                if target == rec.id:
-                    continue
-                j = index.get(target)
-                if j is None:
-                    dangling += 1
-                else:
-                    indices.append(j)
-                    weights.append(w)
-        indptr.append(len(indices))
+    n = len(ids)
+    table = numbered_values(list(repo), mu)
+    # names and ids are both sorted, so each row's targets stay ascending
+    id_array, names = np.array(ids, dtype=object), np.array(table.names, dtype=object)
+    node = np.searchsorted(id_array, names)
+    known = node < n
+    known[known] = id_array[node[known]] == names[known]
+    sizes = np.diff(table.value_ptr)
+    src = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    dst = node[table.value_ids]
+    listed = known[table.value_ids]
+    kept = listed & (dst != src)
+    src = src[kept]
     return AssociativeNetwork(
-        Relation(OCCURRENCE, mu), ids, indptr, indices, weights, dangling=dangling
+        Relation(OCCURRENCE, mu), ids, _indptr(src, n), dst[kept], 1.0 / sizes[src],
+        dangling=int(np.count_nonzero(~listed)),
     )
 
 
@@ -270,20 +292,15 @@ def build_cooccurrence(
     """
     ids = repo.ids()
     n = len(ids)
-    value_ids: Dict[str, int] = {}
-    rows, cols = array("i"), array("i")
-    for i, rec in enumerate(repo):
-        for v in rec.values(mu):
-            rows.append(i)
-            cols.append(value_ids.setdefault(v, len(value_ids)))
-    rows = np.frombuffer(rows, dtype=np.int32)
-    cols = np.frombuffer(cols, dtype=np.int32)
-    sizes = np.bincount(rows, minlength=n).astype(np.int64)
+    _, names, value_ptr, cols = numbered_values(list(repo), mu)
+    cols = cols.astype(np.int32)  # B's column indices; the int64 copy goes before B·Bᵀ
+    sizes = np.diff(value_ptr)
     if max_postings is not None:
-        kept = np.bincount(cols)[cols] <= max_postings
-        rows, cols = rows[kept], cols[kept]
+        kept = np.bincount(cols, minlength=len(names))[cols] <= max_postings
+        value_ptr = np.concatenate(([0], np.cumsum(kept)))[value_ptr]
+        cols = cols[kept]
     incidence = scipy.sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, len(value_ids))
+        (np.ones(len(cols), dtype=np.int32), cols, value_ptr), shape=(n, len(names))
     )
     # S is symmetric, so S's CSC arrays are its CSR arrays, and CSC
     # conversion leaves each row's indices sorted with no separate sort

@@ -1,9 +1,10 @@
 """Discrete particle spreading activation over an associative network.
 
 The walk is one tick loop, ``_walk``; ``propagate`` sets it up from a
-repository and fills a store from its deposits.  Every node seeds one
-particle carrying its home's non-empty metadata and energy 1.0.  Each tick
-every live particle moves to a neighbor sampled from its node's normalized
+repository, with one ``netbuild.numbered_values`` table per property, and
+fills a store from its summed deposits.  Every node seeds one particle
+carrying its home's non-empty metadata and energy 1.0.  Each tick every
+live particle moves to a neighbor sampled from its node's normalized
 outgoing weights (one draw from the home's own RNG substream), its energy is
 multiplied by (1 - delta), and it deposits its payload values, weighted by
 that energy, at the new node for each property the node holds no values of.
@@ -24,8 +25,8 @@ carry deposit.  The loop itself takes, per property, a mask of the nodes
 whose particles carry it and a mask of the nodes that receive it;
 ``propagate`` passes the holders and the rest, and the evaluation grid
 passes the nodes that keep a property and the ones it was removed from.
-Deposits are kept as (node, value) keys per tick and summed at the end
-with ``np.add.at`` in event order, so each sum is the same float that
+Deposits are kept as (node, value) keys per tick and summed when the loop
+ends with ``np.add.at`` in event order, so each sum is the same float that
 adding the energies one by one gives, and each (node, property) entry
 lists its values in first-deposit order.  Every other float sum here is
 left to right too, never built-in ``sum``, whose rounding changed in
@@ -36,14 +37,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from .netbuild import AssociativeNetwork
-from .records import Repository, UnknownResourceError
+from .netbuild import AssociativeNetwork, numbered_values
+from .records import Repository
 
 ENERGY_FORMAT = "%.12g"  # store dump rendering; in-memory energies stay exact
 
@@ -217,31 +218,6 @@ def _node_seeds(ids, seed: int) -> np.ndarray:
     return np.frombuffer(b"".join(digests), dtype=">u8")
 
 
-class NumberedValues(NamedTuple):
-    """One property over numbered nodes, its values numbered in name order."""
-
-    holds: np.ndarray  # mask of the nodes that hold the property
-    names: List[str]  # the property's values, sorted
-    value_ptr: np.ndarray  # each node's value numbers, ascending, in CSR form
-    value_ids: np.ndarray
-
-
-def _numbered_values(column: list) -> NumberedValues:
-    """One property given as each node's value set, or None where the node
-    holds none."""
-    n = len(column)
-    held = np.fromiter((v is not None for v in column), dtype=bool, count=n)
-    holders = list(compress(column, held.tolist()))
-    names = sorted(set().union(*holders))
-    number = {x: k for k, x in enumerate(names)}
-    numbered = [sorted(map(number.__getitem__, v)) for v in holders]
-    counts = np.zeros(n, dtype=np.int64)
-    counts[held] = [len(v) for v in numbered]
-    value_ptr = np.concatenate(([0], np.cumsum(counts)))
-    value_ids = np.fromiter(chain.from_iterable(numbered), dtype=np.int64, count=value_ptr[-1])
-    return NumberedValues(held, names, value_ptr, value_ids)
-
-
 def propagate(
     net: AssociativeNetwork, repo: Repository, cfg: PropagationConfig
 ) -> PropagationResult:
@@ -255,44 +231,35 @@ def propagate(
     if not net.normalized:
         raise NotNormalizedError("network must be normalized before propagation")
     ids = net.ids  # sorted, so particle (and node) i is the i-th id
-    n = len(ids)
-    columns: Dict[str, list] = {}  # property -> each node's values, or None
-    for i, node in enumerate(ids):
-        if node not in repo:
-            raise UnknownResourceError(node)
-        for mu, values in repo.record(node).properties.items():
-            if values:
-                column = columns.get(mu)
-                if column is None:
-                    column = columns[mu] = [None] * n
-                column[i] = values
+    records = [repo.record(node) for node in ids]
+    holders = Counter(mu for rec in records for mu, values in rec.properties.items() if values)
     # a property every node holds has no metadata-poor node to deposit at
-    tables = [(mu, _numbered_values(columns[mu])) for mu in sorted(columns) if None in columns[mu]]
+    tables = [(mu, numbered_values(records, mu)) for mu in sorted(holders) if holders[mu] < len(ids)]
     payload = [(values.holds, ~values.holds, values) for _, values in tables]
-    deposits, ticks, frozen, residual = _walk(net, _node_seeds(ids, cfg.seed), cfg, payload)
+    deposits, ticks, frozen, residual = _walk(net, cfg.seed, cfg, payload)
     store = RecommendationStore()
-    for (mu, values), events in zip(tables, deposits):
-        if events:
-            _fill_store(store, ids, mu, values.names, events)
+    for (mu, values), totals in zip(tables, deposits):
+        _fill_store(store, ids, mu, values.names, totals)
     return PropagationResult(store=store, ticks=ticks, frozen=frozen, residual_energy=residual)
 
 
-def _walk(net: AssociativeNetwork, seeds: np.ndarray, cfg: PropagationConfig, payload: list):
-    """The tick loop, over a normalized network with one particle per node
-    seeded by ``seeds``.  ``payload`` lists each carried property as
-    (carrier mask, receiver mask, ``NumberedValues``): a live particle
-    whose home is a carrier deposits its home's values at each receiver it
-    reaches.  The two masks must be disjoint.
+def _walk(net: AssociativeNetwork, seed: int, cfg: PropagationConfig, payload: list):
+    """The tick loop, over a normalized network with one particle per node,
+    node i's seeded by ``derive_seed(seed, net.ids[i])``.  ``payload`` lists
+    each carried property as (carrier mask, receiver mask,
+    ``netbuild.NumberedValues``): a live particle whose home is a carrier
+    deposits its home's values at each receiver it reaches.  The two masks
+    must be disjoint.
 
-    Returns each property's deposits, as one (node * number of values +
-    value number keys, energy) pair per tick that deposited, then the
-    ticks run, the frozen particles and the live particles' summed energy.
+    Returns each property's ``_deposit_totals``, keyed node * number of
+    values + value number, then the ticks run, the frozen particles and the
+    live particles' summed energy.
     """
     n = len(net.ids)
     deposits = [[] for _ in payload]
     keep = 1.0 - cfg.delta
     indptr, indices, cum = net.indptr, net.indices, net.cum
-    rows = _draws(seeds)
+    rows = _draws(_node_seeds(net.ids, seed))
     live = np.arange(n)  # homes of the non-frozen particles, ascending
     at = live  # each live particle's current node
     energy = 1.0
@@ -328,9 +295,12 @@ def _walk(net: AssociativeNetwork, seeds: np.ndarray, cfg: PropagationConfig, pa
                 start, counts = value_ptr[homes], value_ptr[homes + 1] - value_ptr[homes]
                 # each hit's value numbers, in ascending home order
                 offsets = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-                keys = np.repeat(at[hit] * len(values.names), counts) + values.value_ids[offsets]
+                # int64 before the product: n * len(names) can pass 2**31
+                keys = np.repeat(at[hit].astype(np.int64) * len(values.names), counts)
+                keys += values.value_ids[offsets]
                 ticks.append((keys, energy))
-    return deposits, t, n - len(live), _sequential_sum(np.full(len(live), energy))
+    totals = [_deposit_totals(ticks) for ticks in deposits]
+    return totals, t, n - len(live), _sequential_sum(np.full(len(live), energy))
 
 
 def _deposit_totals(ticks) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,10 +316,10 @@ def _deposit_totals(ticks) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return distinct, first, totals
 
 
-def _fill_store(store: RecommendationStore, ids, mu: str, names, ticks) -> None:
-    """Sum one property's deposits, keyed node * len(names) + value number,
-    into ``store``, each entry's values in first-deposit order."""
-    distinct, first, totals = _deposit_totals(ticks)
+def _fill_store(store: RecommendationStore, ids, mu: str, names, deposits) -> None:
+    """Put one property's ``_deposit_totals``, keyed node * len(names) + value
+    number, into ``store``, each entry's values in first-deposit order."""
+    distinct, first, totals = deposits
     nodes, values = np.divmod(distinct, len(names))
     order = np.lexsort((first, nodes))
     nodes = nodes[order]

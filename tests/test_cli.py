@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from metaprop import evalharness
 from metaprop.cli import main
 
 
@@ -263,6 +264,18 @@ class TestExperiment:
         assert capsys.readouterr().err == "error: --postings-cap must be >= 1, got 0\n"
         assert not results.exists()
 
+    def test_postings_cap_on_an_occurrence_relation_is_an_error(self, repo_file, tmp_path, capsys):
+        # it used to exit 0 with the cap silently unused
+        results = tmp_path / "results.tsv"
+        rc = main(["experiment", str(repo_file), "--relations", "cite",
+                   "--properties", "key", "--runs", "1", "--seed", "3",
+                   "--postings-cap", "3", "--output", str(results)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: a postings cap applies only to co-occurrence relations, not 'cite'\n"
+        )
+        assert not results.exists()
+
     def test_unknown_property_is_an_error(self, tmp_path, capsys):
         # it used to exit 0 with 55 rows that scored 0 over 0 nodes
         corpus = _corpus_file(tmp_path)
@@ -319,6 +332,23 @@ def test_unwritable_output_is_an_error(command, record_file, repo_file, tmp_path
                        "--percentiles", "0", "--output", missing],
     }[command]
     assert_one_error(capsys, argv, "No such file or directory")
+
+
+@pytest.mark.parametrize("output, reason", [
+    ("missing/r.tsv", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unusable_output_fails_before_the_grid(tmp_path, capsys, monkeypatch, output, reason):
+    def grid(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(evalharness, "run_experiment", grid)
+    assert_one_error(
+        capsys,
+        ["experiment", str(_corpus_file(tmp_path)), "--relations", "cokey", "--properties", "jour",
+         "--runs", "1", "--seed", "3", "--output", str(tmp_path / output)],
+        reason,
+    )
 
 
 def test_landscape_dir_naming_a_file_fails_before_the_grid(tmp_path, capsys):

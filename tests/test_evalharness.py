@@ -24,7 +24,7 @@ from metaprop.evalharness import (
     save_results,
     write_landscapes,
 )
-from metaprop.netbuild import AssociativeNetwork, normalize, parse_relation
+from metaprop.netbuild import AssociativeNetwork, normalize, numbered_values, parse_relation
 from metaprop.records import Repository, ResourceRecord, make_record
 from metaprop.swarm import PropagationConfig, RecommendationStore, propagate
 from metaprop.synthetic import two_cluster_corpus
@@ -248,13 +248,31 @@ class TestRunExperiment:
             run_experiment(repo, _small_cfg(target_properties=("jour", "nosuch")))
         assert not built  # raised before any network was built
 
+    @pytest.mark.parametrize("relations, cap, message", [
+        (("cokey",), 0, "a postings cap must be >= 1, got 0"),
+        (("cokey", "auth"), 3, "a postings cap applies only to co-occurrence relations, not 'auth'"),
+    ])
+    def test_bad_postings_cap_is_an_error(self, monkeypatch, relations, cap, message):
+        # a cap of 0 used to score an edgeless network, and one on an
+        # occurrence relation went unused
+        built = []
+        monkeypatch.setattr(evalharness, "build_relation_network", lambda *a, **k: built.append(a))
+        repo = two_cluster_corpus(n_records=20, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_experiment(repo, _small_cfg(network_relations=relations), max_postings=cap)
+        assert not built  # raised before any network was built
+
+    def test_serial_grid_lets_its_networks_go(self):
+        run_experiment(two_cluster_corpus(n_records=20, seed=0), _small_cfg(), workers=1)
+        assert evalharness._WORKER_STATE == {}
+
     @pytest.mark.parametrize("axis", ["network_relations", "target_properties", "densities", "percentiles"])
     def test_empty_axis_is_an_error(self, axis):
         with pytest.raises(ValueError, match=f"^{axis} must not be empty$"):
             _small_cfg(**{axis: ()})
 
     def test_data_error_in_walk_becomes_cell_error(self, monkeypatch):
-        def walk(net, seeds, cfg, payload):
+        def walk(net, seed, cfg, payload):
             raise ValueError("bad data")
 
         monkeypatch.setattr(evalharness, "_walk", walk)
@@ -263,12 +281,13 @@ class TestRunExperiment:
         assert [e.message for e in result.errors] == ["bad data", "bad data"]
 
     def test_program_bug_in_walk_raises(self, monkeypatch):
-        def walk(net, seeds, cfg, payload):
+        def walk(net, seed, cfg, payload):
             raise TypeError("a bug")
 
         monkeypatch.setattr(evalharness, "_walk", walk)
         with pytest.raises(TypeError, match="a bug"):
             run_experiment(two_cluster_corpus(n_records=20, seed=0), _small_cfg(), workers=1)
+        assert evalharness._WORKER_STATE == {}
 
     @pytest.mark.skipif(
         multiprocessing.get_all_start_methods()[0] != "fork",
@@ -324,7 +343,7 @@ def reference_run_cell_once(net, repo, mu_x, density, percentiles, prop_cfg, see
 
 
 def run_cell_once(net, repo, mu_x, density, percentiles, prop_cfg, seed):
-    target = evalharness._target(repo, mu_x)
+    target = numbered_values(list(repo), mu_x)
     return evalharness._run_cell_once(net, target, density, percentiles, prop_cfg, seed)
 
 
@@ -423,7 +442,7 @@ class TestJobMatchesReference:
         # size, one run per density
         repo = two_cluster_corpus(n_records=5000, seed=0)
         net = build_relation_network(repo, "cokey")
-        target = evalharness._target(repo, "jour")
+        target = numbered_values(list(repo), "jour")
         for d_idx, density in enumerate(evalharness.DEFAULT_DENSITIES):
             seed = evalharness.derive_seed(0, "cokey", "jour", d_idx, 0)
             args = (density, evalharness.DEFAULT_PERCENTILES, PropagationConfig(), seed)

@@ -20,6 +20,7 @@ from metaprop.netbuild import (
     build_occurrence,
     load_network,
     normalize,
+    numbered_values,
     parse_relation,
     save_network,
 )
@@ -40,6 +41,23 @@ def brute_force_cooccurrence(repo, mu):
             weights[(i, j)] = w
             weights[(j, i)] = w
     return weights
+
+
+def brute_force_occurrence(repo, mu):
+    """The per-record loop that build_occurrence's array build replaced,
+    kept as its oracle: the (src, dst, weight) edges in row order, and the
+    dangling tally."""
+    edges, dangling = [], 0
+    for rec in repo:
+        vals = rec.values(mu)
+        for target in sorted(vals):
+            if target == rec.id:
+                continue
+            if target in repo:
+                edges.append((rec.id, target, 1.0 / len(vals)))
+            else:
+                dangling += 1
+    return edges, dangling
 
 
 def edge_list(net):
@@ -130,6 +148,40 @@ class TestOccurrence:
             assert len(weights) <= 1
             # emitted sum never exceeds 1 (strictly less only with danglers)
             assert sum(w for _, w in net.out_edges(node)) <= 1.0 + 1e-12
+
+
+class TestNumberedValues:
+    RECORDS = [
+        make_record("a", {"key": ["z", "b"]}),
+        make_record("b", {"jour": ["j"]}),
+        make_record("c", {"key": ["é", "b", "a"]}),
+    ]
+
+    def test_table(self):
+        table = numbered_values(self.RECORDS, "key")
+        assert table.names == ["a", "b", "z", "é"]
+        assert table.holds.tolist() == [True, False, True]
+        assert table.value_ptr.tolist() == [0, 2, 2, 5]
+        assert table.value_ids.tolist() == [1, 2, 0, 1, 3]
+
+    @pytest.mark.parametrize("records", [RECORDS, []])
+    def test_property_nobody_holds(self, records):
+        table = numbered_values(records, "cite")
+        assert table.names == []
+        assert table.holds.tolist() == [False] * len(records)
+        assert table.value_ptr.tolist() == [0] * (len(records) + 1)
+        assert table.value_ids.size == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_node_reads_back_its_sorted_values(self, seed):
+        records = list(random_repository(40, vocab_size=12, seed=seed))
+        table = numbered_values(records, "key")
+        assert table.names == sorted(set().union(*(rec.values("key") for rec in records)))
+        for i, rec in enumerate(records):
+            numbers = table.value_ids[table.value_ptr[i] : table.value_ptr[i + 1]].tolist()
+            assert numbers == sorted(numbers)
+            assert [table.names[k] for k in numbers] == sorted(rec.values("key"))
+            assert table.holds[i] == bool(rec.values("key"))
 
 
 class TestCooccurrence:
@@ -649,6 +701,30 @@ def test_save_load_round_trip_property(tmp_path_factory, net, rnd):
     rnd.shuffle(body)
     (out / "shuffled.tsv").write_text(header + "".join(body), encoding="utf-8")
     assert load_network(out / "shuffled.tsv") == net
+
+
+@st.composite
+def citing_repos(draw):
+    """Records whose ``cite`` lists mix their own id, other records' ids,
+    ids missing from the repository, and ids that are prefixes of others."""
+    ids = draw(st.sets(IDS, min_size=1, max_size=10))
+    ids |= {rid + "x" for rid in draw(st.sets(st.sampled_from(sorted(ids)), max_size=3))}
+    ghosts = draw(st.sets(IDS, max_size=4)) | {rid[:-1] for rid in ids if len(rid) > 1}
+    pool = sorted(ids | ghosts)
+    records = []
+    for rid in sorted(ids):
+        cited = draw(st.sets(st.sampled_from(pool), max_size=6))
+        if draw(st.booleans()):
+            cited.add(rid)
+        records.append(make_record(rid, {"cite": sorted(cited)} if cited else {}))
+    return Repository(records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(citing_repos())
+def test_occurrence_equals_brute_force_property(repo):
+    net = build_occurrence(repo, "cite")
+    assert (edge_list(net), net.dangling) == brute_force_occurrence(repo, "cite")
 
 
 @settings(max_examples=30)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import metaprop
 
 
@@ -5,3 +9,16 @@ def test_every_public_name_resolves():
     # a stale __all__ entry raises AttributeError here, not at a user's import
     for name in metaprop.__all__:
         getattr(metaprop, name)
+
+
+def test_records_import_loads_no_numpy():
+    # reading records is the set-up of every command; numpy and scipy are
+    # paid for only by the modules that build and walk networks
+    code = "import sys, metaprop.records; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(metaprop.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert out.stdout == "[]\n"

@@ -319,6 +319,20 @@ class TestPropagate:
         for (node, mu), _ in result.store.entries():
             assert not repo.meta(node, mu)
 
+    def test_deposit_keys_past_int32(self):
+        # nodes * values passes 2**31 here; keys made in int32 wrapped, and
+        # the last nodes' deposits were lost
+        n = 70_000
+        ids = [f"n{i:05d}" for i in range(n)]
+        records = [ResourceRecord(rid, {"v": frozenset({f"x{i}"})} if i % 2 == 0 else {})
+                   for i, rid in enumerate(ids)]
+        chain = AssociativeNetwork(
+            parse_relation("cite"), ids, list(range(n)) + [n - 1], range(1, n), [1.0] * (n - 1)
+        )
+        store = propagate(normalize(chain), Repository(records), PropagationConfig(max_steps=1)).store
+        assert len(store) == n // 2
+        assert all(store.entry(ids[i], "v") == {f"x{i - 1}": 0.85} for i in range(1, n, 2))
+
     def test_termination_by_energy_floor(self, chain_repo):
         net = normalize(build_occurrence(chain_repo, "cite"))
         result = propagate(net, chain_repo, PropagationConfig(max_steps=1000, energy_floor=0.5, seed=0))
