@@ -9,6 +9,10 @@ Relation labels: a bare property name is an occurrence relation over that
 property ("cite"); a "co" prefix is a co-occurrence relation ("cokey",
 "coauth").  Explicit "occ:NAME" / "co:NAME" forms disambiguate property
 names that start with "co".
+
+A data error (a ``ValueError``, an unknown resource id or an ``OSError``)
+from any command is reported by ``main`` as one ``error:`` line with exit
+status 1; any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -36,15 +40,9 @@ def _str_list(text: str):
 
 
 def cmd_ingest(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            repo = records.ingest(fh)
-    except (OSError, records.RecordError) as exc:
-        return _err(str(exc))
-    try:
-        records.save_repository(repo, args.output)
-    except OSError as exc:
-        return _err(str(exc))
+    with open(args.input, "r", encoding="utf-8") as fh:
+        repo = records.ingest(fh)
+    records.save_repository(repo, args.output)
     print(f"{len(repo)} records, {len(repo.property_types())} property types")
     return 0
 
@@ -55,18 +53,12 @@ def _valid_labels(repo) -> list:
 
 
 def cmd_build(args) -> int:
-    if args.postings_cap is not None and args.postings_cap < 1:  # it would drop every value
-        return _err(f"--postings-cap must be >= 1, got {args.postings_cap}")
-    try:
-        repo = records.load_repository(args.repo)
-    except (OSError, records.RecordError) as exc:
-        return _err(str(exc))
+    repo = records.load_repository(args.repo)
     try:
         relation = netbuild.parse_relation(args.relation)
     except netbuild.RelationError as exc:
         return _err(f"{exc}; valid labels for this repository: {', '.join(_valid_labels(repo))}")
-    if args.postings_cap is not None and relation.kind != netbuild.COOCCURRENCE:
-        return _err("--postings-cap applies only to co-occurrence relations")
+    netbuild.check_postings_cap(relation, args.postings_cap)
     if relation.mu not in repo.property_types():
         return _err(
             f"no property {relation.mu!r} in repository; valid labels: "
@@ -76,17 +68,14 @@ def cmd_build(args) -> int:
         net = netbuild.build_cooccurrence(repo, relation.mu, max_postings=args.postings_cap)
     else:
         net = netbuild.build_occurrence(repo, relation.mu)
-        if net.edge_count == 0 and net.dangling == 0:
+        if net.edge_count == 0:
             return _err(
                 f"occurrence relation {relation.label!r} produced no edges: "
-                f"values of {relation.mu!r} do not look like resource identifiers"
+                f"no value of {relation.mu!r} is the id of another resource"
             )
     if not args.no_normalize:
         net = netbuild.normalize(net)
-    try:
-        netbuild.save_network(net, args.output)
-    except OSError as exc:
-        return _err(str(exc))
+    netbuild.save_network(net, args.output)
     print(
         f"relation={net.relation.label} nodes={len(net.ids)} "
         f"directed_edges={net.edge_count} unordered_pairs={net.pair_count} "
@@ -95,37 +84,28 @@ def cmd_build(args) -> int:
     return 0
 
 
-def cmd_propagate(args) -> int:
+def _seed(args) -> int:
+    """``--seed``, or a fresh draw when it is absent; printed either way so
+    any run can be repeated."""
     seed = args.seed
     if seed is None:
         seed = _random.SystemRandom().randrange(2**63)
     print(f"seed={seed}")
-    try:
-        cfg = swarm.PropagationConfig(
-            delta=args.delta, max_steps=args.max_steps, energy_floor=args.energy_floor, seed=seed
-        )
-    except ValueError as exc:
-        return _err(str(exc))
-    try:
-        net = netbuild.load_network(args.network)
-    except (OSError, netbuild.NetworkFormatError) as exc:
-        return _err(str(exc))
-    try:
-        repo = records.load_repository(args.repo)
-    except (OSError, records.RecordError) as exc:
-        return _err(str(exc))
+    return seed
+
+
+def cmd_propagate(args) -> int:
+    cfg = swarm.PropagationConfig(
+        delta=args.delta, max_steps=args.max_steps, energy_floor=args.energy_floor, seed=_seed(args)
+    )
+    net = netbuild.load_network(args.network)
+    repo = records.load_repository(args.repo)
     if not net.normalized:
         if not args.normalize:
             return _err("network is not normalized; pass --normalize to normalize on load")
         net = netbuild.normalize(net)
-    try:
-        result = swarm.propagate(net, repo, cfg)
-    except records.UnknownResourceError as exc:
-        return _err(str(exc))
-    try:
-        swarm.save_store(result.store, args.output)
-    except OSError as exc:
-        return _err(str(exc))
+    result = swarm.propagate(net, repo, cfg)
+    swarm.save_store(result.store, args.output)
     print(result.report())
     return 0
 
@@ -138,52 +118,32 @@ def _print_pair_tables(summaries) -> None:
 
 
 def cmd_experiment(args) -> int:
-    if args.postings_cap is not None and args.postings_cap < 1:  # it would drop every value
-        return _err(f"--postings-cap must be >= 1, got {args.postings_cap}")
-    try:
-        repo = records.load_repository(args.repo)
-    except (OSError, records.RecordError) as exc:
-        return _err(str(exc))
-    seed = args.seed
-    if seed is None:
-        seed = _random.SystemRandom().randrange(2**63)
-    print(f"seed={seed}")
-    try:
-        cfg = evalharness.ExperimentConfig(
-            network_relations=_str_list(args.relations),
-            target_properties=_str_list(args.properties),
-            densities=_float_list(args.densities),
-            percentiles=_float_list(args.percentiles),
-            runs=args.runs,
-            propagation=swarm.PropagationConfig(
-                delta=args.delta, max_steps=args.max_steps, energy_floor=args.energy_floor
-            ),
-            master_seed=seed,
-        )
-    except ValueError as exc:
-        return _err(str(exc))
-    try:  # before the grid runs, so an unusable path fails at once; the
-        # results file is not opened, which would truncate an existing one
-        if os.path.isdir(args.output):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
-        if not os.path.isdir(os.path.dirname(args.output) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
-        if args.landscape_dir:
-            os.makedirs(args.landscape_dir, exist_ok=True)
-    except OSError as exc:
-        return _err(str(exc))
-    try:
-        result = evalharness.run_experiment(
-            repo, cfg, workers=args.workers, max_postings=args.postings_cap
-        )
-    except ValueError as exc:
-        return _err(str(exc))
-    try:
-        evalharness.save_results(result.rows, args.output)
-        if args.landscape_dir:
-            evalharness.write_landscapes(result.rows, args.landscape_dir)
-    except OSError as exc:
-        return _err(str(exc))
+    repo = records.load_repository(args.repo)
+    cfg = evalharness.ExperimentConfig(
+        network_relations=_str_list(args.relations),
+        target_properties=_str_list(args.properties),
+        densities=_float_list(args.densities),
+        percentiles=_float_list(args.percentiles),
+        runs=args.runs,
+        propagation=swarm.PropagationConfig(
+            delta=args.delta, max_steps=args.max_steps, energy_floor=args.energy_floor
+        ),
+        master_seed=_seed(args),
+    )
+    # before the grid runs, so an unusable path fails at once; the results
+    # file is not opened, which would truncate an existing one
+    if os.path.isdir(args.output):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+    if not os.path.isdir(os.path.dirname(args.output) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+    if args.landscape_dir:
+        os.makedirs(args.landscape_dir, exist_ok=True)
+    result = evalharness.run_experiment(
+        repo, cfg, workers=args.workers, max_postings=args.postings_cap
+    )
+    evalharness.save_results(result.rows, args.output)
+    if args.landscape_dir:
+        evalharness.write_landscapes(result.rows, args.landscape_dir)
     _print_pair_tables(evalharness.pair_summaries(result.rows))
     for e in result.errors:
         print(
@@ -198,10 +158,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        rows = evalharness.load_results(args.results)
-    except (OSError, ValueError) as exc:
-        return _err(str(exc))
+    rows = evalharness.load_results(args.results)
     if not rows:
         return _err(f"{args.results}: results file contains no rows")
     _print_pair_tables(evalharness.pair_summaries(rows))
@@ -268,8 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit status (1 for a data error)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, records.UnknownResourceError) as exc:
+        return _err(str(exc))
 
 
 if __name__ == "__main__":

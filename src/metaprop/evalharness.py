@@ -31,6 +31,7 @@ from .netbuild import (
     RelationError,
     build_cooccurrence,
     build_occurrence,
+    check_postings_cap,
     normalize,
     numbered_values,
     parse_relation,
@@ -54,8 +55,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for axis in ("network_relations", "target_properties", "densities", "percentiles"):
-            if not getattr(self, axis):
+            entries = getattr(self, axis)
+            if not entries:
                 raise ValueError(f"{axis} must not be empty")
+            repeated = [x for k, x in enumerate(entries) if x in entries[:k]]
+            if repeated:  # its jobs would run, and its rows be written, twice
+                raise ValueError(f"{axis} repeats {repeated[0]!r}")
         for d in self.densities:
             if not 0.0 < d < 1.0:
                 raise ValueError(f"density must be in (0, 1), got {d}")
@@ -242,36 +247,38 @@ def _run_cell_once(
     return per_rho, scored
 
 
-# networks and targets are shipped to workers once, at pool start, not per job
+# the config, networks and targets are shipped to workers once, at pool
+# start; a job is only its key
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _init_worker(networks, targets):
-    _WORKER_STATE["networks"] = networks
-    _WORKER_STATE["targets"] = targets
+def _init_worker(cfg, networks, targets):
+    _WORKER_STATE.update(cfg=cfg, networks=networks, targets=targets)
 
 
-def _job(args):
-    """Run one (mu_y, mu_x, density, run) job; a data error (ValueError)
-    becomes an error marker so a bad cell never takes down the whole grid,
-    while any other exception is a program bug and raises."""
-    mu_y, mu_x, d_idx, run, density, percentiles, prop_cfg, seed = args
-    net = _WORKER_STATE["networks"][mu_y]
-    target = _WORKER_STATE["targets"][mu_x]
+def _job(key: Tuple[str, str, int, int]):
+    """Run the job ``(mu_y, mu_x, d_idx, run)``: its result, or the message
+    of a data error (ValueError), so a bad cell never takes down the whole
+    grid; any other exception is a program bug and raises."""
+    mu_y, mu_x, d_idx, run = key
+    cfg = _WORKER_STATE["cfg"]
+    seed = derive_seed(cfg.master_seed, mu_y, mu_x, d_idx, run)
     try:
-        value = _run_cell_once(net, target, density, percentiles, prop_cfg, seed)
+        return _run_cell_once(
+            _WORKER_STATE["networks"][mu_y], _WORKER_STATE["targets"][mu_x],
+            cfg.densities[d_idx], cfg.percentiles, cfg.propagation, seed,
+        )
     except ValueError as exc:
-        return (mu_y, mu_x, d_idx, run), ("err", str(exc))
-    return (mu_y, mu_x, d_idx, run), ("ok", value)
+        return str(exc)
 
 
-def _outcome(future: Future, args):
-    """A pooled job's result; a job lost with a dead worker process becomes
-    an error marker that names the cause."""
+def _outcome(future: Future):
+    """A pooled job's result or message; a job lost with a dead worker
+    process gets a message that names the cause."""
     try:
         return future.result()
     except BrokenProcessPool as exc:
-        return args[:4], ("err", f"worker process died: {exc!r}")
+        return f"worker process died: {exc!r}"
 
 
 def run_experiment(
@@ -282,105 +289,87 @@ def run_experiment(
 ) -> ExperimentResult:
     """Full grid: for each (mu_y, mu_x, density, run), atrophy and propagate
     once, then score every percentile.  Networks are built once per mu_y
-    from the full repository.  Results are independent of ``workers``; a
-    job whose worker process dies is reported as a ``CellError``.  A
-    target property that no record holds, or a ``max_postings`` below 1 or
-    with an occurrence relation, is an error, raised before any network is
-    built."""
+    from the full repository.  Results are independent of ``workers``.  A
+    network that fails to build, a job that raises ValueError and a job
+    whose worker process dies are each reported as ``CellError``s; any
+    other exception in a job raises.  A target property that no record
+    holds, or a postings cap that ``check_postings_cap`` rejects, is an
+    error, raised before any network is built."""
     properties = repo.property_types()
     for mu_x in cfg.target_properties:
         if mu_x not in properties:
             raise ValueError(
                 f"no property {mu_x!r} in repository; its property types: {', '.join(properties)}"
             )
-    if max_postings is not None:
-        if max_postings < 1:  # it would drop every value
-            raise ValueError(f"a postings cap must be >= 1, got {max_postings}")
-        for mu_y in cfg.network_relations:
-            try:
-                kind = parse_relation(mu_y).kind
-            except RelationError:
-                continue  # its cells report the bad label
-            if kind != COOCCURRENCE:
-                raise ValueError(
-                    f"a postings cap applies only to co-occurrence relations, not {mu_y!r}"
-                )
+    for mu_y in cfg.network_relations:
+        try:
+            relation = parse_relation(mu_y)
+        except RelationError:
+            continue  # its cells report the bad label
+        check_postings_cap(relation, max_postings)
     networks: Dict[str, AssociativeNetwork] = {}
     # records in id order, which is the node order of every network built here
     records = list(repo)
     targets = {mu_x: numbered_values(records, mu_x) for mu_x in cfg.target_properties}
     errors: List[CellError] = []
-    jobs = []
     for mu_y in cfg.network_relations:
         try:
-            net = build_relation_network(repo, mu_y, max_postings=max_postings)
+            networks[mu_y] = build_relation_network(repo, mu_y, max_postings=max_postings)
         except ValueError as exc:
             for mu_x in cfg.target_properties:
                 for density in cfg.densities:
                     errors.append(CellError(mu_y, mu_x, density, -1, f"network build failed: {exc}"))
-            continue
-        networks[mu_y] = net
-        for mu_x in cfg.target_properties:
-            for d_idx, density in enumerate(cfg.densities):
-                for run in range(cfg.runs):
-                    seed = derive_seed(cfg.master_seed, mu_y, mu_x, d_idx, run)
-                    jobs.append(
-                        (mu_y, mu_x, d_idx, run, density, cfg.percentiles, cfg.propagation, seed)
-                    )
-
-    results: Dict[Tuple[str, str, int, int], Tuple[dict, int]] = {}
-    if workers > 1 and len(jobs) > 1:
+    keys = [
+        (mu_y, mu_x, d_idx, run)
+        for mu_y in networks
+        for mu_x in cfg.target_properties
+        for d_idx in range(len(cfg.densities))
+        for run in range(cfg.runs)
+    ]
+    if workers > 1 and len(keys) > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(networks, targets)
+            max_workers=workers, initializer=_init_worker, initargs=(cfg, networks, targets)
         ) as pool:
-            futures = [pool.submit(_job, args) for args in jobs]
-            outcomes = [_outcome(future, args) for future, args in zip(futures, jobs)]
+            futures = [pool.submit(_job, key) for key in keys]
+            outcomes = [_outcome(future) for future in futures]
     else:
-        _init_worker(networks, targets)
+        _init_worker(cfg, networks, targets)
         try:
-            outcomes = [_job(args) for args in jobs]
+            outcomes = [_job(key) for key in keys]
         finally:  # this process is no worker: let the networks go with the call
             _WORKER_STATE.clear()
-    for (mu_y, mu_x, d_idx, run), (status, value) in outcomes:
-        if status == "ok":
-            results[(mu_y, mu_x, d_idx, run)] = value
-        else:
-            errors.append(CellError(mu_y, mu_x, cfg.densities[d_idx], run, value))
 
     rows: List[MetricsRow] = []
-    for mu_y in cfg.network_relations:
-        if mu_y not in networks:
+    # keys run cell by cell, each cell's runs in run order
+    for start in range(0, len(keys), cfg.runs):
+        mu_y, mu_x, d_idx, _ = keys[start]
+        density = cfg.densities[d_idx]
+        done = []
+        for run, outcome in enumerate(outcomes[start:start + cfg.runs]):
+            if isinstance(outcome, str):
+                errors.append(CellError(mu_y, mu_x, density, run, outcome))
+            else:
+                done.append(outcome)
+        if not done:
             continue
-        source_mu = networks[mu_y].relation.mu
-        for mu_x in cfg.target_properties:
-            for d_idx, density in enumerate(cfg.densities):
-                run_keys = [
-                    (mu_y, mu_x, d_idx, run)
-                    for run in range(cfg.runs)
-                    if (mu_y, mu_x, d_idx, run) in results
-                ]
-                if not run_keys:
-                    continue
-                n_scored = results[run_keys[0]][1]
-                for rho in cfg.percentiles:
-                    prs = [results[k][0][rho][0] for k in run_keys]
-                    res = [results[k][0][rho][1] for k in run_keys]
-                    fs = [results[k][0][rho][2] for k in run_keys]
-                    rows.append(
-                        MetricsRow(
-                            mu_y=mu_y,
-                            mu_x=mu_x,
-                            density=density,
-                            percentile=rho,
-                            precision=_sequential_sum(prs) / len(prs),
-                            recall=_sequential_sum(res) / len(res),
-                            f_score=_sequential_sum(fs) / len(fs),
-                            f_score_max=max(fs),
-                            runs_averaged=len(run_keys),
-                            nodes_scored=n_scored,
-                            anomalous=(source_mu == mu_x),
-                        )
-                    )
+        anomalous = networks[mu_y].relation.mu == mu_x
+        for rho in cfg.percentiles:
+            prs, res, fs = zip(*(per_rho[rho] for per_rho, _ in done))
+            rows.append(
+                MetricsRow(
+                    mu_y=mu_y,
+                    mu_x=mu_x,
+                    density=density,
+                    percentile=rho,
+                    precision=_sequential_sum(prs) / len(prs),
+                    recall=_sequential_sum(res) / len(res),
+                    f_score=_sequential_sum(fs) / len(fs),
+                    f_score_max=max(fs),
+                    runs_averaged=len(done),
+                    nodes_scored=done[0][1],
+                    anomalous=anomalous,
+                )
+            )
     return ExperimentResult(rows, errors)
 
 
@@ -463,10 +452,15 @@ def pair_summaries(rows: Sequence[MetricsRow]) -> Dict[Tuple[str, str], Tuple[fl
 
 
 def landscape_text(rows: Sequence[MetricsRow], mu_y: str, mu_x: str) -> str:
-    """One density x percentile F-score matrix as plain TSV text."""
+    """One density x percentile F-score matrix as plain TSV text; a
+    (density, percentile) cell that the pair's rows lack is a ValueError."""
     cells = {(r.density, r.percentile): r.f_score for r in rows if r.mu_y == mu_y and r.mu_x == mu_x}
     densities = sorted({d for d, _ in cells})
     percentiles = sorted({p for _, p in cells})
+    missing = [(d, p) for d in densities for p in percentiles if (d, p) not in cells]
+    if missing:
+        d, p = missing[0]
+        raise ValueError(f"no row for {mu_y}/{mu_x} at density {d!r}, percentile {p!r}")
     lines = ["density\\percentile\t" + "\t".join(repr(p) for p in percentiles)]
     for d in densities:
         vals = "\t".join(repr(cells[(d, p)]) for p in percentiles)

@@ -85,6 +85,19 @@ def parse_relation(label: str) -> Relation:
     return Relation(OCCURRENCE, label)
 
 
+def check_postings_cap(relation: Relation, max_postings: Optional[int]) -> None:
+    """Reject a postings cap that would drop every value (below 1) or that
+    ``relation`` would never use (an occurrence relation)."""
+    if max_postings is None:
+        return
+    if max_postings < 1:
+        raise ValueError(f"a postings cap must be >= 1, got {max_postings}")
+    if relation.kind != COOCCURRENCE:
+        raise ValueError(
+            f"a postings cap applies only to co-occurrence relations, not {relation.label!r}"
+        )
+
+
 def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each row's running weight sum, accumulated left to right as the
     scalar loop ``acc += w`` does (``np.cumsum`` is sequential; ``np.sum``

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from metaprop import evalharness
+from metaprop import evalharness, records
 from metaprop.cli import main
 
 
@@ -99,7 +99,7 @@ class TestBuildNetwork:
         rc = main(["build-network", str(repo_file), "--relation", "cokey",
                    "--postings-cap", cap, "--output", str(net)])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: --postings-cap must be >= 1, got {cap}\n"
+        assert capsys.readouterr().err == f"error: a postings cap must be >= 1, got {cap}\n"
         assert not net.exists()
 
     def test_postings_cap_on_an_occurrence_relation_is_an_error(self, repo_file, tmp_path, capsys):
@@ -109,7 +109,18 @@ class TestBuildNetwork:
                    "--postings-cap", "5", "--output", str(net)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: --postings-cap applies only to co-occurrence relations\n"
+            "error: a postings cap applies only to co-occurrence relations, not 'cite'\n"
+        )
+        assert not net.exists()
+
+    def test_occurrence_relation_without_edges_is_an_error(self, repo_file, tmp_path, capsys):
+        # "x" names no resource; this used to write an edgeless network with dangling=1
+        net = tmp_path / "net.tsv"
+        rc = main(["build-network", str(repo_file), "--relation", "key", "--output", str(net)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: occurrence relation 'key' produced no edges: "
+            "no value of 'key' is the id of another resource\n"
         )
         assert not net.exists()
 
@@ -207,6 +218,20 @@ class TestPropagate:
         assert capsys.readouterr().err == "error: unknown resource id: 'B'\n"
         assert not store.exists()
 
+    def test_overflowing_row_is_an_error(self, repo_file, tmp_path, capsys):
+        # normalizing on load used to end in a traceback
+        net = tmp_path / "raw.tsv"
+        largest = float.hex(1.7976931348623157e308)
+        net.write_text(f"cite\t3\t2\t0\t0\nA\tB\t{largest}\nA\tC\t{largest}\n")
+        store = tmp_path / "s.tsv"
+        assert_one_error(
+            capsys,
+            ["propagate", str(net), str(repo_file), "--seed", "1", "--normalize",
+             "--output", str(store)],
+            "out-weights of 'A' sum past the largest float",
+        )
+        assert not store.exists()
+
     def test_generated_seed_is_printed(self, repo_file, tmp_path, capsys):
         net = self._build(repo_file, tmp_path)
         assert main(["propagate", str(net), str(repo_file),
@@ -261,7 +286,7 @@ class TestExperiment:
                    "--properties", "jour", "--runs", "1", "--seed", "3",
                    "--postings-cap", "0", "--output", str(results)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: --postings-cap must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: a postings cap must be >= 1, got 0\n"
         assert not results.exists()
 
     def test_postings_cap_on_an_occurrence_relation_is_an_error(self, repo_file, tmp_path, capsys):
@@ -387,5 +412,28 @@ class TestReport:
         path.write_text("")
         assert main(["report", str(path)]) != 0
 
+    def test_missing_cell_is_an_error(self, tmp_path, capsys):
+        # it used to end in a KeyError traceback
+        results = self._results(tmp_path)
+        lines = results.read_text().splitlines(keepends=True)
+        dropped = [line for line in lines if line.startswith("cokey\tjour\t0.61\t0.5\t")]
+        assert len(dropped) == 1
+        lines.remove(dropped[0])
+        results.write_text("".join(lines))
+        assert_one_error(
+            capsys, ["report", str(results)],
+            "no row for cokey/jour at density 0.61, percentile 0.5",
+        )
+
     def test_missing_file(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.tsv")]) != 0
+
+
+def test_program_bug_keeps_its_traceback(record_file, tmp_path, monkeypatch):
+    # only data errors become "error:" lines; a bug must not be hidden as one
+    def ingest(fh):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(records, "ingest", ingest)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["ingest", str(record_file), str(tmp_path / "repo.jsonl")])

@@ -271,6 +271,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"^{axis} must not be empty$"):
             _small_cfg(**{axis: ()})
 
+    @pytest.mark.parametrize("axis, entries", [
+        ("network_relations", ("cokey", "cokey")),
+        ("target_properties", ("jour", "key", "jour")),
+        ("densities", (0.21, 0.21)),
+        ("percentiles", (0.0, 0.5, 0.5)),
+    ])
+    def test_repeated_axis_entry_is_an_error(self, axis, entries):
+        # its jobs used to run twice, and its rows to be written twice
+        with pytest.raises(ValueError, match=f"^{axis} repeats {entries[-1]!r}$"):
+            _small_cfg(**{axis: entries})
+
     def test_data_error_in_walk_becomes_cell_error(self, monkeypatch):
         def walk(net, seed, cfg, payload):
             raise ValueError("bad data")
