@@ -48,8 +48,8 @@ def cmd_ingest(args) -> int:
 
 
 def _valid_labels(repo) -> list:
-    props = repo.property_types()
-    return props + ["co" + p for p in props]
+    kinds = (netbuild.OCCURRENCE, netbuild.COOCCURRENCE)
+    return [netbuild.Relation(kind, p).label for kind in kinds for p in repo.property_types()]
 
 
 def cmd_build(args) -> int:
@@ -161,10 +161,16 @@ def cmd_report(args) -> int:
     rows = evalharness.load_results(args.results)
     if not rows:
         return _err(f"{args.results}: results file contains no rows")
+    # every landscape is made before anything is printed, so a missing
+    # cell leaves standard output empty
+    landscapes = [
+        (pair, evalharness.landscape_text(rows, *pair))
+        for pair in sorted({(r.mu_y, r.mu_x) for r in rows})
+    ]
     _print_pair_tables(evalharness.pair_summaries(rows))
-    for mu_y, mu_x in sorted({(r.mu_y, r.mu_x) for r in rows}):
+    for (mu_y, mu_x), text in landscapes:
         print(f"\nF-score landscape {mu_y}/{mu_x} (rows: density, columns: percentile)")
-        print(evalharness.landscape_text(rows, mu_y, mu_x), end="")
+        print(text, end="")
     return 0
 
 

@@ -17,6 +17,7 @@ numbers and the weights.
 
 from __future__ import annotations
 
+import copy
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -61,7 +62,12 @@ class Relation:
 
     @property
     def label(self) -> str:
-        return self.mu if self.kind == OCCURRENCE else "co" + self.mu
+        """The label that parse_relation reads back as this relation: the
+        bare name or "co" + name, or the explicit "occ:"/"co:" form where
+        the short one would read as another relation."""
+        if self.kind == OCCURRENCE:
+            return "occ:" + self.mu if self.mu.startswith(("co", "occ:")) else self.mu
+        return "co:" + self.mu if self.mu.startswith(":") else "co" + self.mu
 
 
 def parse_relation(label: str) -> Relation:
@@ -98,6 +104,21 @@ def check_postings_cap(relation: Relation, max_postings: Optional[int]) -> None:
         )
 
 
+_BLOCK_ENTRIES = 1 << 18  # entries per block of rows: product entries (an upper bound) or edges
+
+
+def _row_blocks(cost: np.ndarray, budget: int) -> List[Tuple[int, int]]:
+    """Consecutive row ranges [r0, r1) whose costs sum to at most ``budget``;
+    a row that costs more is a range of its own."""
+    ends = np.cumsum(cost)
+    bounds = [0]
+    while bounds[-1] < len(cost):
+        r0 = bounds[-1]
+        r1 = int(np.searchsorted(ends, (ends[r0 - 1] if r0 else 0) + budget, side="right"))
+        bounds.append(max(r1, r0 + 1))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each row's running weight sum, accumulated left to right as the
     scalar loop ``acc += w`` does (``np.cumsum`` is sequential; ``np.sum``
@@ -110,6 +131,22 @@ def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _row_search(lo: np.ndarray, hi: np.ndarray, indices: np.ndarray, value: int) -> np.ndarray:
+    """In each row's sorted edges ``lo..hi``, the position of the first
+    whose destination is ``value`` or more (``hi`` if none is): one
+    bisection of every row at once."""
+    lo, hi = lo.copy(), hi.copy()
+    last = max(len(indices) - 1, 0)
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) >> 1
+        right = open_ & (indices.take(np.minimum(mid, last)) < value)
+        np.copyto(lo, mid + 1, where=right)
+        np.copyto(hi, mid, where=open_ & ~right)
+
+
 class AssociativeNetwork:
     """Directed weighted graph over resource ids, immutable once built.
 
@@ -118,6 +155,9 @@ class AssociativeNetwork:
     destination-id order) with ``weights`` at the same positions.  A
     normalized network also holds ``cum``, each row's running weight sum,
     which the walk bisects to sample a destination.
+
+    The constructor checks the arrays once; ``normalize`` keeps the ids and
+    CSR structure as they were checked and checks only the weights it makes.
     """
 
     def __init__(
@@ -140,11 +180,18 @@ class AssociativeNetwork:
         self.dangling = dangling
         self._check()
         self.cum = _row_cumsum(self.indptr, self.weights) if normalized else None
+        self._freeze()
+
+    def _freeze(self) -> None:
         for column in (self.indptr, self.indices, self.weights, self.cum):
             if column is not None:
                 column.flags.writeable = False
 
     def _check(self) -> None:
+        """Raise ValueError on the first fault of the highest-ranked kind:
+        ids, CSR shape and targets, then self-loops, NaN, non-positive and
+        infinite weights, then duplicate or unsorted edges.  The edge checks
+        run in blocks of rows, so they need no full-length temporaries."""
         ids, indptr, indices, weights = self.ids, self.indptr, self.indices, self.weights
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise ValueError("node ids must be sorted and distinct")
@@ -158,28 +205,37 @@ class AssociativeNetwork:
             raise ValueError("malformed CSR arrays")
         if len(indices) and (indices.min() < 0 or indices.max() >= len(ids)):
             raise ValueError("edge target not in node set")
-        src = self._sources()
-        for bad, what in (
-            (indices == src, "self-loop on"),
-            (np.isnan(weights), "NaN weight on"),
-            (~(weights > 0.0), "non-positive weight on"),
-            (weights == np.inf, "infinite weight on"),
-        ):
-            hit = np.flatnonzero(bad)
-            if hit.size:
-                k = hit[0]
-                raise ValueError(f"{what} ({ids[src[k]]!r}, {ids[indices[k]]!r})")
-        step = np.diff(indices)
-        same_row = src[1:] == src[:-1]
-        hit = np.flatnonzero(same_row & (step <= 0))
-        if hit.size:
-            k = hit[0] + 1
-            what = "duplicate edge" if step[k - 1] == 0 else "unsorted row at"
-            raise ValueError(f"{what} ({ids[src[k]]!r}, {ids[indices[k]]!r})")
+        kinds = (
+            "self-loop on", "NaN weight on", "non-positive weight on", "infinite weight on", "order"
+        )
+        first = {}  # kind -> its first faulty edge
+        for r0, r1 in _row_blocks(np.diff(indptr), _BLOCK_ENTRIES):
+            lo, hi = int(indptr[r0]), int(indptr[r1])
+            src = np.repeat(np.arange(r0, r1, dtype=np.int32), np.diff(indptr[r0 : r1 + 1]))
+            dst, w = indices[lo:hi], weights[lo:hi]
+            # an edge whose destination does not rise over the one before it
+            # in the same row (blocks hold whole rows)
+            order = (np.diff(dst) <= 0) & (src[1:] == src[:-1])
+            for kind, bad, at in zip(
+                kinds,
+                (dst == src, np.isnan(w), ~(w > 0.0), w == np.inf, order),
+                (lo, lo, lo, lo, lo + 1),
+            ):
+                if kind not in first:
+                    hit = np.flatnonzero(bad)
+                    if hit.size:
+                        first[kind] = at + int(hit[0])
+        for kind in kinds:
+            if kind in first:
+                k = first[kind]
+                if kind == "order":
+                    kind = "duplicate edge" if indices[k] == indices[k - 1] else "unsorted row at"
+                raise ValueError(f"{kind} {self._edge(k)}")
 
-    def _sources(self) -> np.ndarray:
-        """The source node number of every edge, aligned with ``indices``."""
-        return np.repeat(np.arange(len(self.ids), dtype=np.int32), np.diff(self.indptr))
+    def _edge(self, k: int) -> str:
+        """Edge k as the text "('src', 'dst')"."""
+        src = int(np.searchsorted(self.indptr, k, side="right")) - 1
+        return f"({self.ids[src]!r}, {self.ids[self.indices[k]]!r})"
 
     def _row(self, node: str) -> Tuple[int, int]:
         i = bisect_left(self.ids, node)
@@ -203,20 +259,33 @@ class AssociativeNetwork:
     @property
     def pair_count(self) -> int:
         """Number of unordered node pairs joined by at least one edge."""
-        # each upward edge (src < dst) is one pair, and its src*n+dst keys are
-        # already sorted in CSR order; a downward edge adds a pair only when
-        # its reverse is not an upward edge.  No full-length key array or
-        # whole-array sort is made.
-        src, dst, n = self._sources(), self.indices, len(self.ids)
-        up = dst > src  # no self-loops, so the rest point down
-        forward = src[up].astype(np.int64) * n + dst[up]
-        down = ~up
-        backward = dst[down].astype(np.int64) * n + src[down]
-        backward.sort()
-        if not forward.size:
-            return int(backward.size)
-        matched = forward.take(np.searchsorted(forward, backward), mode="clip") == backward
-        return int(forward.size + backward.size - np.count_nonzero(matched))
+        # every edge is one pair, less one for each pair joined both ways.
+        # Block by block of nodes, those are the downward edges into the
+        # block (j -> i, i < j) whose reverse is among the upward edges out
+        # of it (i -> j, keyed i * n + j: ascending in CSR order).  Each
+        # row's edges into the block lie between two bisections.
+        indptr, indices, n = self.indptr, self.indices, len(self.ids)
+        both = 0
+        start = indptr[:-1]  # each row's first edge to the block or past it
+        for r0, r1 in _row_blocks(np.diff(indptr), _BLOCK_ENTRIES):
+            end = _row_search(start, indptr[1:], indices, r1)
+            lo, hi = int(indptr[r0]), int(indptr[r1])
+            src = np.repeat(np.arange(r0, r1, dtype=np.int64), np.diff(indptr[r0 : r1 + 1]))
+            dst = indices[lo:hi]
+            up = dst > src
+            forward = src[up] * n + dst[up]
+            rows = r0 + np.flatnonzero(end[r0:] > start[r0:])  # an earlier row's edges here go up
+            width = end[rows] - start[rows]
+            at = np.repeat(start[rows] - (np.cumsum(width) - width), width) + np.arange(width.sum())
+            i, j = indices[at], np.repeat(rows, width)
+            down = i < j
+            backward = i[down] * np.int64(n) + j[down]
+            backward.sort()  # sorted needles make searchsorted several times faster
+            if forward.size:
+                matched = forward.take(np.searchsorted(forward, backward), mode="clip") == backward
+                both += int(np.count_nonzero(matched))
+            start = end
+        return len(indices) - both
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AssociativeNetwork):
@@ -302,29 +371,56 @@ def build_cooccurrence(
     c / (|values_i| + |values_j| - c), from exact integer counts.
     ``max_postings`` optionally skips values held by more than that many
     resources (off by default; results are exact when off).
+
+    S is made in blocks of rows, chosen from an upper bound on each row's
+    entries (the postings of its values, at most n), and each block's
+    off-diagonal destinations and weights are written straight into the
+    final arrays.  Those are made at the bound's total and cut to the edge
+    count at the end; pages past the last edge are never touched.
     """
     ids = repo.ids()
     n = len(ids)
     _, names, value_ptr, cols = numbered_values(list(repo), mu)
-    cols = cols.astype(np.int32)  # B's column indices; the int64 copy goes before B·Bᵀ
-    sizes = np.diff(value_ptr)
+    sizes = np.diff(value_ptr).astype(np.float64)  # exact, as every count and sum below
+    postings = np.bincount(cols, minlength=len(names))
     if max_postings is not None:
-        kept = np.bincount(cols, minlength=len(names))[cols] <= max_postings
+        kept = postings[cols] <= max_postings
         value_ptr = np.concatenate(([0], np.cumsum(kept)))[value_ptr]
         cols = cols[kept]
+    kept_sizes = np.diff(value_ptr)
+    # a count is at most the smaller of a pair's kept value sets
+    count_type = np.min_scalar_type(int(kept_sizes.max(initial=1)))
     incidence = scipy.sparse.csr_matrix(
-        (np.ones(len(cols), dtype=np.int32), cols, value_ptr), shape=(n, len(names))
+        (np.ones(len(cols), dtype=count_type), cols.astype(np.int32), value_ptr),
+        shape=(n, len(names)),
     )
-    # S is symmetric, so S's CSC arrays are its CSR arrays, and CSC
-    # conversion leaves each row's indices sorted with no separate sort
-    shared = (incidence @ incidence.T).tocsc().T
-    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(shared.indptr))
-    off_diagonal = shared.indices != src
-    src = src[off_diagonal]
-    dst = shared.indices[off_diagonal]
-    co = shared.data[off_diagonal].astype(np.int64)
-    weights = co / (sizes[src] + sizes[dst] - co)
-    return AssociativeNetwork(Relation(COOCCURRENCE, mu), ids, _indptr(src, n), dst, weights)
+    reach = np.diff(np.concatenate(([0], np.cumsum(postings[cols])))[value_ptr])
+    reach = np.minimum(reach, n)  # row i's entries of S are at most reach[i]
+    del postings, cols
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices = np.empty(int(reach.sum()), dtype=np.int32)
+    weights = np.empty(len(indices), dtype=np.float64)
+    for r0, r1 in _row_blocks(reach, _BLOCK_ENTRIES):
+        # B·B[r0:r1]ᵀ is S's columns r0..r1, so, S being symmetric, its CSC
+        # arrays are rows r0..r1 of S, each row's destinations ascending
+        block = (incidence @ incidence[r0:r1].T).tocsc()
+        src = np.repeat(np.arange(r0, r1, dtype=np.int32), np.diff(block.indptr))
+        off_diagonal = block.indices != src
+        degree = np.diff(block.indptr) - (kept_sizes[r0:r1] > 0)
+        np.cumsum(degree, out=indptr[r0 + 1 : r1 + 1])
+        indptr[r0 + 1 : r1 + 1] += indptr[r0]
+        lo, hi = indptr[r0], indptr[r1]
+        np.compress(off_diagonal, block.indices, out=indices[lo:hi])
+        co = block.data[off_diagonal]
+        # co / (|values_i| + |values_j| - co), made in place in the weights
+        np.take(sizes, indices[lo:hi], out=weights[lo:hi])
+        np.add(weights[lo:hi], np.repeat(sizes[r0:r1], degree), out=weights[lo:hi])
+        np.subtract(weights[lo:hi], co, out=weights[lo:hi])
+        np.divide(co, weights[lo:hi], out=weights[lo:hi])
+    # cut in place: no view of either array outlives its statement above
+    indices.resize(indptr[-1], refcheck=False)
+    weights.resize(indptr[-1], refcheck=False)
+    return AssociativeNetwork(Relation(COOCCURRENCE, mu), ids, indptr, indices, weights)
 
 
 def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
@@ -332,23 +428,35 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
 
     Each row is divided by its total, summed in destination order.  Nodes
     without outgoing edges are unchanged.  Normalizing an already normalized
-    network, or one with a row total past the largest float, is an error.
+    network, or one with a row total past the largest float, is an error, as
+    is a weight that the division takes to 0.
+
+    One pass over the rows makes the weights and the walk's running sums:
+    a row's running sum of its raw weights ends in its total, and one of its
+    normalized weights is its ``cum``.  The ids and CSR structure were
+    checked when ``net`` was made, so only the new weights are checked.
     """
     if net.normalized:
         raise AlreadyNormalizedError(f"network {net.relation.label!r} is already normalized")
-    degree = np.diff(net.indptr)
-    nonempty = degree > 0
-    with np.errstate(over="ignore"):  # an overflowing row is reported below
-        totals = _row_cumsum(net.indptr, net.weights)[net.indptr[1:][nonempty] - 1]
-    overflow = np.flatnonzero(totals == np.inf)
-    if overflow.size:
-        node = net.ids[np.flatnonzero(nonempty)[overflow[0]]]
-        raise ValueError(f"out-weights of {node!r} sum past the largest float")
-    weights = net.weights / np.repeat(totals, degree[nonempty])
-    return AssociativeNetwork(
-        net.relation, net.ids, net.indptr, net.indices, weights,
-        normalized=True, dangling=net.dangling,
-    )
+    raw = net.weights
+    weights, cum = np.empty_like(raw), np.empty_like(raw)
+    bounds = net.indptr.tolist()
+    with np.errstate(over="ignore"):  # an overflowing row is reported by name
+        for node, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo < hi:
+                row_cum = cum[lo:hi]
+                np.cumsum(raw[lo:hi], out=row_cum)
+                total = row_cum[-1]
+                if total == np.inf:
+                    raise ValueError(f"out-weights of {net.ids[node]!r} sum past the largest float")
+                np.divide(raw[lo:hi], total, out=weights[lo:hi])
+                np.cumsum(weights[lo:hi], out=row_cum)
+    if len(weights) and weights.min() == 0.0:  # an underflow: w / total is never negative
+        raise ValueError(f"non-positive weight on {net._edge(int(np.argmin(weights)))}")
+    out = copy.copy(net)
+    out.weights, out.cum, out.normalized = weights, cum, True
+    out._freeze()
+    return out
 
 
 _BLOCK = 1 << 16  # edge lines per written block

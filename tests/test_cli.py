@@ -92,6 +92,27 @@ class TestBuildNetwork:
         err = capsys.readouterr().err
         assert "cite" in err and "cokey" in err
 
+    def test_valid_labels_read_back(self, tmp_path, capsys):
+        # an occurrence relation over "coref" is "occ:coref"; "coref" is co-occurrence over "ref"
+        records = tmp_path / "records.jsonl"
+        lines = [
+            {"id": "a", "properties": {"coref": ["b"]}},
+            {"id": "b", "properties": {"coref": ["a"], "ref": ["x"]}},
+        ]
+        records.write_text("".join(json.dumps(o) + "\n" for o in lines))
+        repo = tmp_path / "repo.jsonl"
+        assert main(["ingest", str(records), str(repo)]) == 0
+        capsys.readouterr()
+        assert main(["build-network", str(repo), "--relation", "nosuch",
+                     "--output", str(tmp_path / "net.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert "valid labels: occ:coref, ref, cocoref, coref\n" in err
+        net = tmp_path / "net.tsv"
+        assert main(["build-network", str(repo), "--relation", "occ:coref",
+                     "--output", str(net)]) == 0
+        assert "relation=occ:coref " in capsys.readouterr().out
+        assert net.read_text().startswith("occ:coref\t")
+
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_postings_cap_below_one_is_an_error(self, repo_file, tmp_path, capsys, cap):
         # a cap below 1 drops every value, which used to write an edgeless network
@@ -424,6 +445,17 @@ class TestReport:
             capsys, ["report", str(results)],
             "no row for cokey/jour at density 0.61, percentile 0.5",
         )
+
+    def test_missing_cell_prints_no_table(self, tmp_path, capsys):
+        # cokey/auth's landscape comes first and is whole; it used to be
+        # printed, with the pair table, before the error
+        results = self._results(tmp_path)
+        lines = results.read_text().splitlines(keepends=True)
+        results.write_text("".join(l for l in lines if not l.startswith("cokey\tjour\t0.61\t0.5\t")))
+        capsys.readouterr()
+        assert main(["report", str(results)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: no row for cokey/jour")
 
     def test_missing_file(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.tsv")]) != 0

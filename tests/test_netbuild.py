@@ -1,6 +1,9 @@
+import contextlib
 import itertools
 import math
 import random
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,14 +31,17 @@ from metaprop.records import Repository, make_record
 from metaprop.synthetic import random_repository
 
 
-def brute_force_cooccurrence(repo, mu):
+def brute_force_cooccurrence(repo, mu, max_postings=None):
     """O(N^2) reference for the co-occurrence definition: edge weights as a
-    dict {(src, dst): w}.  Kept independent of build_cooccurrence's sparse product."""
+    dict {(src, dst): w}.  Kept independent of build_cooccurrence's sparse product.
+    With ``max_postings``, a value held by more resources is not shared, but
+    still counts in its holders' value set sizes."""
+    held = Counter(x for rec in repo for x in rec.values(mu))
     weights = {}
     ids = repo.ids()
     for i, j in itertools.combinations(ids, 2):
         a, b = repo.meta(i, mu), repo.meta(j, mu)
-        co = len(a & b)
+        co = sum(1 for x in a & b if max_postings is None or held[x] <= max_postings)
         if co:
             w = co / (len(a) + len(b) - co)
             weights[(i, j)] = w
@@ -69,6 +75,23 @@ def edge_list(net):
 
 def edge_dict(net):
     return {(s, d): w for s, d, w in edge_list(net)}
+
+
+BLOCK_SIZES = [1, 5, None]  # one-row blocks, blocks of up to 5 entries, the module's blocks
+BLOCK_ENTRIES = pytest.mark.parametrize(
+    "block_entries", BLOCK_SIZES, ids=["one-row-blocks", "5-entry-blocks", "default-blocks"]
+)
+
+
+@contextlib.contextmanager
+def blocks_of(block_entries):
+    """A context in which builds, checks and pair counts go by blocks of
+    rows of at most ``block_entries`` entries (a costlier row is a block of
+    its own); None keeps the module's block size."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_entries is not None:
+            mp.setattr(netbuild, "_BLOCK_ENTRIES", block_entries)
+        yield
 
 
 def reference_save(net, path):
@@ -106,6 +129,20 @@ class TestRelations:
     def test_bad_labels(self, bad):
         with pytest.raises(RelationError):
             parse_relation(bad)
+
+    @given(st.sampled_from([OCCURRENCE, COOCCURRENCE]), st.text("oc:x", min_size=1, max_size=7))
+    def test_label_reads_back(self, kind, mu):
+        relation = Relation(kind, mu)
+        assert parse_relation(relation.label) == relation
+
+    def test_occurrence_over_a_co_property_round_trips(self, tmp_path):
+        # "coref" alone reads back as co-occurrence over "ref"
+        repo = Repository([make_record("a", {"coref": ["b"]}), make_record("b", {"coref": ["a"]})])
+        net = build_occurrence(repo, "coref")
+        assert net.relation.label == "occ:coref"
+        path = tmp_path / "net.tsv"
+        save_network(net, path)
+        assert load_network(path) == net
 
 
 class TestOccurrence:
@@ -205,8 +242,10 @@ class TestCooccurrence:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         repo = random_repository(n_records=random.Random(seed).randint(5, 50), seed=seed)
-        net = build_cooccurrence(repo, "key")
-        assert edge_dict(net) == brute_force_cooccurrence(repo, "key")
+        expected = brute_force_cooccurrence(repo, "key")
+        for block_entries in BLOCK_SIZES:
+            with blocks_of(block_entries):
+                assert edge_dict(build_cooccurrence(repo, "key")) == expected
 
     def test_symmetric_weights_in_unit_interval(self):
         repo = random_repository(30, seed=11)
@@ -288,6 +327,22 @@ class TestNormalize:
             Relation(COOCCURRENCE, "key"), ["a", "b", "c"], [0, 0, 2, 2], [0, 2], [big, big]
         )
         with np.errstate(over="raise"), pytest.raises(ValueError, match="out-weights of 'b' sum past"):
+            normalize(net)
+
+    def test_underflowing_weight_is_an_error(self):
+        net = AssociativeNetwork(
+            Relation(COOCCURRENCE, "key"), ["a", "b", "c"], [0, 2, 2, 2], [1, 2], [1e-300, 1e300]
+        )
+        with pytest.raises(ValueError, match=re.escape("non-positive weight on ('a', 'b')")):
+            normalize(net)
+
+    def test_overflow_is_reported_before_an_earlier_underflow(self):
+        big = np.finfo(np.float64).max * 0.75
+        net = AssociativeNetwork(
+            Relation(COOCCURRENCE, "key"), ["a", "b", "c"], [0, 2, 4, 4], [1, 2, 0, 2],
+            [1e-300, 1e300, big, big],
+        )
+        with pytest.raises(ValueError, match="out-weights of 'b' sum past"):
             normalize(net)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -663,22 +718,29 @@ WEIGHTS = st.one_of(
 
 
 @st.composite
-def networks(draw):
+def raw_networks(draw, weight_values=WEIGHTS):
+    """Unnormalized networks: rows of any degree (empty ones too), their
+    weights drawn from up to four values."""
     ids = sorted(draw(st.sets(IDS, min_size=1, max_size=12)))
     n = len(ids)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     chosen = sorted(draw(st.sets(st.sampled_from(pairs), max_size=40))) if pairs else []
-    pool = draw(st.lists(WEIGHTS, min_size=1, max_size=4))  # few distinct weights, repeated
+    pool = draw(st.lists(weight_values, min_size=1, max_size=4))  # few distinct weights, repeated
     weights = [draw(st.sampled_from(pool)) for _ in chosen]
     indptr = [0] * (n + 1)
     for i, _ in chosen:
         indptr[i + 1] += 1
     for i in range(n):
         indptr[i + 1] += indptr[i]
-    net = AssociativeNetwork(
+    return AssociativeNetwork(
         Relation(COOCCURRENCE, "key"), ids, indptr, [j for _, j in chosen], weights,
         dangling=draw(st.integers(0, 3)),
     )
+
+
+@st.composite
+def networks(draw):
+    net = draw(raw_networks())
     if draw(st.booleans()):
         try:
             net = normalize(net)
@@ -728,8 +790,104 @@ def test_occurrence_equals_brute_force_property(repo):
 
 
 @settings(max_examples=30)
-@given(st.integers(min_value=2, max_value=25), st.integers())
-def test_cooccurrence_equals_brute_force_property(n, seed):
+@given(st.integers(min_value=2, max_value=25), st.integers(), st.sampled_from([None, 1, 2, 4]))
+def test_cooccurrence_equals_brute_force_property(n, seed, cap):
+    # records without a value, or whose values all pass the cap, are empty rows
     repo = random_repository(n_records=n, seed=seed, vocab_size=8)
-    net = build_cooccurrence(repo, "key")
-    assert edge_dict(net) == brute_force_cooccurrence(repo, "key")
+    expected = brute_force_cooccurrence(repo, "key", cap)
+    for block_entries in BLOCK_SIZES:
+        with blocks_of(block_entries):
+            assert edge_dict(build_cooccurrence(repo, "key", max_postings=cap)) == expected
+
+
+@BLOCK_ENTRIES
+@settings(max_examples=60, deadline=None)
+@given(raw_networks())
+def test_pair_count_property(block_entries, net):
+    with blocks_of(block_entries):
+        assert net.pair_count == len({frozenset((s, d)) for s, d, _ in edge_list(net)})
+
+
+@BLOCK_ENTRIES
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({"nan", "unsorted", "self-loop"}, "self-loop on ('d', 'd')"),
+        ({"nan", "unsorted"}, "NaN weight on ('a', 'b')"),
+        ({"unsorted", "duplicate"}, "unsorted row at ('c', 'a')"),
+        ({"duplicate"}, "duplicate edge ('e', 'a')"),
+    ],
+)
+def test_first_fault_of_the_highest_rank_is_reported(block_entries, faults, message):
+    # the faults sit in different rows, so in different blocks when blocks are small
+    rows = {
+        "a": [(1, math.nan if "nan" in faults else 1.0)],
+        "b": [(0, 1.0)],
+        "c": [(1, 1.0), (0, 1.0)] if "unsorted" in faults else [(0, 1.0), (1, 1.0)],
+        "d": [(3, 1.0)] if "self-loop" in faults else [(0, 1.0)],
+        "e": [(0, 1.0), (0, 1.0)] if "duplicate" in faults else [(0, 1.0)],
+    }
+    indptr = np.cumsum([0] + [len(edges) for edges in rows.values()])
+    edges = [edge for row in rows.values() for edge in row]
+    with blocks_of(block_entries), pytest.raises(ValueError, match=re.escape(message)):
+        AssociativeNetwork(
+            Relation(COOCCURRENCE, "key"), list(rows), indptr,
+            [j for j, _ in edges], [w for _, w in edges],
+        )
+
+
+def row_running_sums(indptr, weights):
+    cum = np.empty_like(weights)
+    for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        np.cumsum(weights[lo:hi], out=cum[lo:hi])
+    return cum
+
+
+def two_pass_normalize(net):
+    """The normalize that the one-row-pass version replaced, kept as its
+    oracle: each row's total from one pass of running sums, one division by
+    the repeated totals, and ``cum`` from a second pass.  Gives the nonempty
+    rows, their totals, the weights and ``cum``."""
+    degree = np.diff(net.indptr)
+    rows = np.flatnonzero(degree)
+    with np.errstate(over="ignore"):
+        totals = row_running_sums(net.indptr, net.weights)[net.indptr[rows + 1] - 1]
+    weights = net.weights / np.repeat(totals, degree[rows])
+    return rows, totals, weights, row_running_sums(net.indptr, weights)
+
+
+ROUNDING = st.one_of(  # sums of these round, and some rows overflow or underflow
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0 / 3.0, 2.0 / 3.0, 1e-300, 1e300, 2.0**-1074]),
+    WEIGHTS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_networks(ROUNDING))
+def test_normalize_matches_two_pass_property(net):
+    rows, totals, weights, cum = two_pass_normalize(net)
+    overflow = rows[totals == np.inf]
+    zero = np.flatnonzero(weights == 0.0)
+    if overflow.size:
+        message = f"out-weights of {net.ids[overflow[0]]!r} sum past the largest float"
+    elif zero.size:
+        src = np.searchsorted(net.indptr, zero[0], side="right") - 1
+        message = f"non-positive weight on ({net.ids[src]!r}, {net.ids[net.indices[zero[0]]]!r})"
+    else:
+        normed = normalize(net)
+        assert normed.weights.tobytes() == weights.tobytes()
+        assert normed.cum.tobytes() == cum.tobytes()
+        return
+    with pytest.raises(ValueError, match=re.escape(message)):
+        normalize(net)
+
+
+def test_network_is_checked_once(monkeypatch):
+    calls = []
+    check = AssociativeNetwork._check
+    monkeypatch.setattr(AssociativeNetwork, "_check", lambda net: calls.append(net) or check(net))
+    raw = build_cooccurrence(random_repository(30, seed=1), "key")
+    normed = normalize(raw)
+    assert calls == [raw]
+    assert normed.indices is raw.indices and not normed.weights.flags.writeable
+    assert not normed.cum.flags.writeable

@@ -26,3 +26,15 @@ def test_bench_network_io_runs(capsys):
     assert report["network"]["records"] == 300 and report["network"]["edges"] > 0
     assert len(report["save_wall_s"]) == len(report["load_wall_s"]) == 1
     assert len(report["file_sha256"]) == len(report["arrays_sha256"]) == 64
+
+
+def test_bench_build_runs(capsys):
+    # toy size: one process
+    main = runpy.run_path(str(SCRIPTS / "bench_build.py"))["main"]
+    assert main(["--records", "300", "--repeat", "1"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["network"]["records"] == 300 and report["network"]["edges"] > 0
+    assert len(report["build_wall_s"]) == len(report["normalize_wall_s"]) == 1
+    start, build, after = (report[f"{k}_ru_maxrss_mib"][0] for k in ("start", "build", "normalize"))
+    assert 0 < start <= build <= after
+    assert len(report["arrays_sha256"]) == 64
