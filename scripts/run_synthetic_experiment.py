@@ -9,14 +9,8 @@ F-score tables plus one density x percentile landscape per pair.
 import argparse
 import sys
 
-from metaprop.evalharness import (
-    ExperimentConfig,
-    landscape_text,
-    pair_summaries,
-    run_experiment,
-    save_results,
-    write_landscapes,
-)
+from metaprop import cli
+from metaprop.evalharness import ExperimentConfig, run_experiment, save_results, write_landscapes
 from metaprop.swarm import PropagationConfig
 from metaprop.synthetic import two_cluster_corpus
 
@@ -45,15 +39,9 @@ def main(argv=None) -> int:
         write_landscapes(result.rows, args.landscape_dir)
 
     print(f"{args.records} records, {len(result.rows)} grid cells -> {args.output}\n")
-    print("pair\tmax_fscore\tmean_fscore\tanomalous")
-    for (mu_y, mu_x), (fmax, fmean, anomalous) in pair_summaries(result.rows).items():
-        print(f"{mu_y}/{mu_x}\t{fmax:.4f}\t{fmean:.4f}\t{int(anomalous)}")
-    for mu_y, mu_x in sorted({(r.mu_y, r.mu_x) for r in result.rows}):
-        print(f"\nF-score landscape {mu_y}/{mu_x}")
-        print(landscape_text(result.rows, mu_y, mu_x), end="")
     for e in result.errors:
         print(f"cell error: {e}", file=sys.stderr)
-    return 0
+    return cli.main(["report", args.output])
 
 
 if __name__ == "__main__":

@@ -290,11 +290,12 @@ def run_experiment(
     """Full grid: for each (mu_y, mu_x, density, run), atrophy and propagate
     once, then score every percentile.  Networks are built once per mu_y
     from the full repository.  Results are independent of ``workers``.  A
-    network that fails to build, a job that raises ValueError and a job
-    whose worker process dies are each reported as ``CellError``s; any
-    other exception in a job raises.  A target property that no record
-    holds, or a postings cap that ``check_postings_cap`` rejects, is an
-    error, raised before any network is built."""
+    network that fails to build, a job that raises ValueError, and a job
+    whose worker process dies or that is submitted after one died are each
+    reported as ``CellError``s; any other exception in a job raises.  A
+    target property that no record holds, or a postings cap that
+    ``check_postings_cap`` rejects, is an error, raised before any network
+    is built."""
     properties = repo.property_types()
     for mu_x in cfg.target_properties:
         if mu_x not in properties:
@@ -330,7 +331,15 @@ def run_experiment(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(cfg, networks, targets)
         ) as pool:
-            futures = [pool.submit(_job, key) for key in keys]
+            futures = []
+            for key in keys:
+                try:
+                    futures.append(pool.submit(_job, key))
+                except BrokenProcessPool as exc:  # this job and every later one are lost
+                    lost = Future()
+                    lost.set_exception(exc)
+                    futures += [lost] * (len(keys) - len(futures))
+                    break
             outcomes = [_outcome(future) for future in futures]
     else:
         _init_worker(cfg, networks, targets)

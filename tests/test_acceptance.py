@@ -27,7 +27,9 @@ from metaprop.evalharness import (
 from metaprop.netbuild import build_cooccurrence, build_occurrence, normalize
 from metaprop.records import Repository, load_repository, make_record
 from metaprop.swarm import PropagationConfig, RecommendationStore, propagate
-from metaprop.synthetic import random_repository, two_cluster_corpus
+from metaprop.synthetic import two_cluster_corpus
+
+from corpora import random_repository
 
 
 def edge_dict(net):

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -325,6 +326,37 @@ class TestRunExperiment:
             lost = sorted(e.run for e in result.errors if e.density == density)
             assert averaged.get(density, 0) + len(lost) == cfg.runs
             assert len(set(lost)) == len(lost)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="pool workers inherit the patched job only when forked",
+    )
+    def test_worker_dead_before_a_submit_becomes_cell_errors(self, monkeypatch):
+        # the pool breaks while jobs are still being submitted: submit itself
+        # raises BrokenProcessPool, which used to take down the whole grid
+        run_cell_once = evalharness._run_cell_once
+
+        def dies_at_021(net, target, density, *rest):
+            if density == 0.21:
+                os._exit(1)
+            return run_cell_once(net, target, density, *rest)
+
+        class OneJobAtATime(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                future.exception()  # waits for the job to end
+                return future
+
+        monkeypatch.setattr(evalharness, "_run_cell_once", dies_at_021)
+        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", OneJobAtATime)
+        cfg = _small_cfg(densities=(0.61, 0.21), runs=2)
+        result = run_experiment(two_cluster_corpus(n_records=20, seed=0), cfg, workers=2)
+        # the jobs that finished before the worker died are kept
+        assert {(r.density, r.runs_averaged) for r in result.rows} == {(0.61, 2)}
+        # the job that killed it, and the one whose submit failed, are reported lost
+        assert [(e.density, e.run) for e in result.errors] == [(0.21, 0), (0.21, 1)]
+        for e in result.errors:
+            assert e.message.startswith("worker process died: BrokenProcessPool(")
 
 
 def reference_run_cell_once(net, repo, mu_x, density, percentiles, prop_cfg, seed):

@@ -28,7 +28,8 @@ from metaprop.netbuild import (
     save_network,
 )
 from metaprop.records import Repository, make_record
-from metaprop.synthetic import random_repository
+
+from corpora import random_repository
 
 
 def brute_force_cooccurrence(repo, mu, max_postings=None):

@@ -22,7 +22,9 @@ from metaprop.netbuild import (
 )
 from metaprop.records import Repository, ResourceRecord
 from metaprop.swarm import PropagationConfig, propagate, save_store
-from metaprop.synthetic import random_repository, two_cluster_corpus
+from metaprop.synthetic import two_cluster_corpus
+
+from corpora import random_repository
 
 PINS = {
     "cokey-raw": "36144df59d1edac0230d0d58e3c681ae198b10c46c9c1e137cac80b5c5b31291",
