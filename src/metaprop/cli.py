@@ -47,23 +47,9 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _valid_labels(repo) -> list:
-    kinds = (netbuild.OCCURRENCE, netbuild.COOCCURRENCE)
-    return [netbuild.Relation(kind, p).label for kind in kinds for p in repo.property_types()]
-
-
 def cmd_build(args) -> int:
     repo = records.load_repository(args.repo)
-    try:
-        relation = netbuild.parse_relation(args.relation)
-    except netbuild.RelationError as exc:
-        return _err(f"{exc}; valid labels for this repository: {', '.join(_valid_labels(repo))}")
-    netbuild.check_postings_cap(relation, args.postings_cap)
-    if relation.mu not in repo.property_types():
-        return _err(
-            f"no property {relation.mu!r} in repository; valid labels: "
-            f"{', '.join(_valid_labels(repo))}"
-        )
+    relation = netbuild.relation_for(repo, args.relation, args.postings_cap)
     if relation.kind == netbuild.COOCCURRENCE:
         net = netbuild.build_cooccurrence(repo, relation.mu, max_postings=args.postings_cap)
     else:

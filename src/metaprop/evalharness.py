@@ -31,10 +31,9 @@ from .netbuild import (
     RelationError,
     build_cooccurrence,
     build_occurrence,
-    check_postings_cap,
     normalize,
     numbered_values,
-    parse_relation,
+    relation_for,
 )
 from .records import Repository, ResourceRecord
 from .swarm import PropagationConfig, RecommendationStore, _sequential_sum, _walk, derive_seed
@@ -107,29 +106,29 @@ class ExperimentResult:
     errors: List[CellError]
 
 
-def _atrophy_pick(size: int, eligible: list, fraction: float, rng: random.Random) -> list:
+def _atrophy_pick(eligible: list, fraction: float, rng: random.Random) -> list:
     """The members of ``eligible`` (the holders of the atrophied property,
-    in id order) that lose it: floor(fraction * size) of them for a
-    repository of ``size`` records, at most all, drawn by one
-    ``rng.sample``.  The draw depends only on the positions in
-    ``eligible``, so ids and node numbers pick the same records."""
+    in id order) that lose it: floor(fraction * len(eligible)) of them,
+    drawn by one ``rng.sample``.  The draw depends only on the positions
+    in ``eligible``, so ids and node numbers pick the same records."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    count = min(math.floor(fraction * size), len(eligible))
-    return rng.sample(eligible, count)
+    return rng.sample(eligible, math.floor(fraction * len(eligible)))
 
 
 def kill_meta(
     repo: Repository, fraction: float, mu_x: str, rng: random.Random
 ) -> Tuple[Repository, AtrophyOutcome]:
-    """Empty the ``mu_x`` value sets of floor(fraction * |repo|) resources
-    chosen uniformly among those that have any; everything else untouched.
+    """Empty the ``mu_x`` value sets of floor(fraction * h) of the h
+    resources that have any, chosen uniformly; everything else untouched.
+    The count is taken over the holders only, so at grid density d a
+    property that only some records hold keeps a share d of its holders.
     Returns the atrophied repository and the removed ground truth.
 
     With ``propagate`` and ``accept_meta``, this defines what a grid job
     scores; the job itself atrophies a node mask drawn by the same pick."""
     eligible = [rid for rid in repo.ids() if repo.meta(rid, mu_x)]
-    chosen = set(_atrophy_pick(len(repo), eligible, fraction, rng))
+    chosen = set(_atrophy_pick(eligible, fraction, rng))
     truth: Dict[Tuple[str, str], FrozenSet[str]] = {}
     records = []
     for rec in repo:
@@ -183,10 +182,9 @@ def f_score(pr: float, re: float) -> float:
 def build_relation_network(
     repo: Repository, label: str, max_postings: Optional[int] = None
 ) -> AssociativeNetwork:
-    """Build and normalize the network for a relation label."""
-    relation = parse_relation(label)
-    if relation.mu not in repo.property_types():
-        raise ValueError(f"no property {relation.mu!r} in repository for relation {label!r}")
+    """Build and normalize the network for a relation label, checked by
+    ``relation_for``."""
+    relation = relation_for(repo, label, max_postings)
     if relation.kind == COOCCURRENCE:
         net = build_cooccurrence(repo, relation.mu, max_postings=max_postings)
     else:
@@ -212,7 +210,7 @@ def _run_cell_once(
     rng = random.Random(seed)
     n = len(net.ids)
     atrophied = np.zeros(n, dtype=bool)
-    atrophied[_atrophy_pick(n, np.flatnonzero(target.holds).tolist(), 1.0 - density, rng)] = True
+    atrophied[_atrophy_pick(np.flatnonzero(target.holds).tolist(), 1.0 - density, rng)] = True
     payload = (target.holds & ~atrophied, atrophied, target)
     ((keys, _, totals),), _, _, _ = _walk(net, seed, prop_cfg, [payload])
     n_values = len(target.names)
@@ -294,8 +292,8 @@ def run_experiment(
     whose worker process dies or that is submitted after one died are each
     reported as ``CellError``s; any other exception in a job raises.  A
     target property that no record holds, or a postings cap that
-    ``check_postings_cap`` rejects, is an error, raised before any network
-    is built."""
+    ``relation_for`` rejects, is an error, raised before any network is
+    built."""
     properties = repo.property_types()
     for mu_x in cfg.target_properties:
         if mu_x not in properties:
@@ -304,10 +302,9 @@ def run_experiment(
             )
     for mu_y in cfg.network_relations:
         try:
-            relation = parse_relation(mu_y)
+            relation_for(repo, mu_y, max_postings)
         except RelationError:
-            continue  # its cells report the bad label
-        check_postings_cap(relation, max_postings)
+            continue  # its cells report the bad label or missing property
     networks: Dict[str, AssociativeNetwork] = {}
     # records in id order, which is the node order of every network built here
     records = list(repo)

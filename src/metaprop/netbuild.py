@@ -91,17 +91,30 @@ def parse_relation(label: str) -> Relation:
     return Relation(OCCURRENCE, label)
 
 
-def check_postings_cap(relation: Relation, max_postings: Optional[int]) -> None:
-    """Reject a postings cap that would drop every value (below 1) or that
-    ``relation`` would never use (an occurrence relation)."""
-    if max_postings is None:
-        return
-    if max_postings < 1:
-        raise ValueError(f"a postings cap must be >= 1, got {max_postings}")
-    if relation.kind != COOCCURRENCE:
-        raise ValueError(
-            f"a postings cap applies only to co-occurrence relations, not {relation.label!r}"
-        )
+def relation_for(repo: Repository, label: str, max_postings: Optional[int] = None) -> Relation:
+    """The relation ``label`` names, checked against ``repo`` in this
+    order: a label that does not parse is a ``RelationError``; a postings
+    cap below 1 (it would drop every value), or one on an occurrence
+    relation (which never uses it), is a ``ValueError``; a property that no
+    record holds is a ``RelationError``.  Both ``RelationError``s end in
+    the repository's valid labels."""
+    properties = repo.property_types()
+    kinds = (OCCURRENCE, COOCCURRENCE)
+    valid = ", ".join(Relation(kind, mu).label for kind in kinds for mu in properties)
+    try:
+        relation = parse_relation(label)
+    except RelationError as exc:
+        raise RelationError(f"{exc}; valid labels: {valid}") from None
+    if max_postings is not None:
+        if max_postings < 1:
+            raise ValueError(f"a postings cap must be >= 1, got {max_postings}")
+        if relation.kind != COOCCURRENCE:
+            raise ValueError(
+                f"a postings cap applies only to co-occurrence relations, not {relation.label!r}"
+            )
+    if relation.mu not in properties:
+        raise RelationError(f"no property {relation.mu!r} in repository; valid labels: {valid}")
+    return relation
 
 
 _BLOCK_ENTRIES = 1 << 18  # entries per block of rows: product entries (an upper bound) or edges

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import random
@@ -239,6 +240,34 @@ class TestRunExperiment:
         assert result.rows  # cokey cells survived
         assert result.errors  # occurrence over a property nobody has
 
+    def test_bad_relation_cells_name_the_valid_labels(self):
+        # the grid checks a relation as build-network does; its cells used
+        # to read only "... for relation 'nosuchprop'"
+        repo = two_cluster_corpus(n_records=20, seed=0)
+        result = run_experiment(repo, _small_cfg(network_relations=("cokey", "nosuchprop")))
+        suffix = "; valid labels: auth, jour, key, coauth, cojour, cokey"
+        assert result.errors
+        for e in result.errors:
+            assert e.mu_y == "nosuchprop"
+            assert e.message.endswith(suffix)
+
+    def test_density_counts_only_the_holders(self):
+        # 50 of 100 records hold jour: density d keeps a share d of them.
+        # The count used to be floor((1 - d) * 100) capped at 50, so every
+        # density below 0.5 atrophied all 50 holders and scored alike
+        base = two_cluster_corpus(n_records=100, seed=0)
+        repo = Repository(
+            [rec if i % 2 == 0 else ResourceRecord(rec.id, {"key": rec.properties["key"]})
+             for i, rec in enumerate(base)]
+        )
+        densities = (0.01, 0.21, 0.41)
+        expected = {0.01: 49, 0.21: 39, 0.41: 29}
+        for density in densities:
+            _, outcome = kill_meta(repo, 1.0 - density, "jour", random.Random(0))
+            assert len(outcome.atrophied_ids) == expected[density]
+        rows = run_experiment(repo, _small_cfg(densities=densities)).rows
+        assert {r.density: r.nodes_scored for r in rows} == expected
+
     def test_unknown_target_property_is_an_error(self, monkeypatch):
         # it used to give a full grid of rows scoring 0 over 0 nodes
         built = []
@@ -252,6 +281,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("relations, cap, message", [
         (("cokey",), 0, "a postings cap must be >= 1, got 0"),
         (("cokey", "auth"), 3, "a postings cap applies only to co-occurrence relations, not 'auth'"),
+        # the cap is checked before the property, whose error is only its cells'
+        (("cokey", "nosuch"), 3, "a postings cap applies only to co-occurrence relations, not 'nosuch'"),
     ])
     def test_bad_postings_cap_is_an_error(self, monkeypatch, relations, cap, message):
         # a cap of 0 used to score an edgeless network, and one on an
@@ -466,8 +497,8 @@ class TestJobMatchesReference:
         assert got == ({0.0: (0.0, 0.0, 0.0), 1.0: (0.0, 0.0, 0.0)}, 15)
 
     def test_partial_coverage(self):
-        # jour is held by every third record: the atrophy count is capped by
-        # the holders, and nodes that never held jour take no scored deposit
+        # jour is held by every third record: the atrophy count is taken
+        # over the holders, and nodes that never held jour take no scored deposit
         base = two_cluster_corpus(n_records=90, seed=2)
         repo = Repository(
             [rec if i % 3 == 0 else ResourceRecord(rec.id, {"key": rec.properties["key"]})
@@ -478,7 +509,7 @@ class TestJobMatchesReference:
             args = (density, evalharness.DEFAULT_PERCENTILES, PropagationConfig(max_steps=20), 9)
             got = run_cell_once(net, repo, "jour", *args)
             assert exact(got) == exact(reference_run_cell_once(net, repo, "jour", *args))
-            assert got[1] == min(int((1.0 - density) * 90), 30)
+            assert got[1] == math.floor((1.0 - density) * 30)
 
     def test_default_grid_at_5k(self):
         # the default densities and percentiles at the acceptance grid's

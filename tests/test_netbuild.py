@@ -25,6 +25,7 @@ from metaprop.netbuild import (
     normalize,
     numbered_values,
     parse_relation,
+    relation_for,
     save_network,
 )
 from metaprop.records import Repository, make_record
@@ -130,6 +131,17 @@ class TestRelations:
     def test_bad_labels(self, bad):
         with pytest.raises(RelationError):
             parse_relation(bad)
+
+    @pytest.mark.parametrize("label, message", [
+        ("co", "unknown relation label: 'co'"),
+        ("nosuch", "no property 'nosuch' in repository"),
+    ])
+    def test_relation_for_lists_the_valid_labels(self, label, message):
+        repo = Repository([make_record("a", {"cite": ["b"], "key": ["x"]}), make_record("b", {})])
+        valid = "; valid labels: cite, key, cocite, cokey"
+        with pytest.raises(RelationError, match=f"^{re.escape(message + valid)}$"):
+            relation_for(repo, label)
+        assert relation_for(repo, "cokey", max_postings=1) == Relation(COOCCURRENCE, "key")
 
     @given(st.sampled_from([OCCURRENCE, COOCCURRENCE]), st.text("oc:x", min_size=1, max_size=7))
     def test_label_reads_back(self, kind, mu):

@@ -5,12 +5,6 @@ import sys
 import metaprop
 
 
-def test_every_public_name_resolves():
-    # a stale __all__ entry raises AttributeError here, not at a user's import
-    for name in metaprop.__all__:
-        getattr(metaprop, name)
-
-
 def test_records_import_loads_no_numpy():
     # reading records is the set-up of every command; numpy and scipy are
     # paid for only by the modules that build and walk networks
