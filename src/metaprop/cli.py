@@ -49,9 +49,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_build(args) -> int:
     repo = records.load_repository(args.repo)
-    relation = netbuild.relation_for(repo, args.relation, args.postings_cap)
+    relation = netbuild.relation_for(repo, args.relation)
     if relation.kind == netbuild.COOCCURRENCE:
-        net = netbuild.build_cooccurrence(repo, relation.mu, max_postings=args.postings_cap)
+        net = netbuild.build_cooccurrence(repo, relation.mu)
     else:
         net = netbuild.build_occurrence(repo, relation.mu)
         if net.edge_count == 0:
@@ -80,10 +80,14 @@ def _seed(args) -> int:
     return seed
 
 
-def cmd_propagate(args) -> int:
-    cfg = swarm.PropagationConfig(
-        delta=args.delta, max_steps=args.max_steps, energy_floor=args.energy_floor, seed=_seed(args)
+def _propagation(args, seed: int = 0) -> swarm.PropagationConfig:
+    return swarm.PropagationConfig(
+        delta=args.delta, max_steps=args.max_steps, energy_floor=args.energy_floor, seed=seed
     )
+
+
+def cmd_propagate(args) -> int:
+    cfg = _propagation(args, _seed(args))
     net = netbuild.load_network(args.network)
     repo = records.load_repository(args.repo)
     if not net.normalized:
@@ -111,22 +115,21 @@ def cmd_experiment(args) -> int:
         densities=_float_list(args.densities),
         percentiles=_float_list(args.percentiles),
         runs=args.runs,
-        propagation=swarm.PropagationConfig(
-            delta=args.delta, max_steps=args.max_steps, energy_floor=args.energy_floor
-        ),
+        propagation=_propagation(args),
         master_seed=_seed(args),
     )
     # before the grid runs, so an unusable path fails at once; the results
     # file is not opened, which would truncate an existing one
+    directory = os.path.dirname(args.output) or "."
     if os.path.isdir(args.output):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
-    if not os.path.isdir(os.path.dirname(args.output) or "."):
+    if not os.path.isdir(directory):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), args.output)
     if args.landscape_dir:
         os.makedirs(args.landscape_dir, exist_ok=True)
-    result = evalharness.run_experiment(
-        repo, cfg, workers=args.workers, max_postings=args.postings_cap
-    )
+    result = evalharness.run_experiment(repo, cfg, workers=args.workers)
     evalharness.save_results(result.rows, args.output)
     if args.landscape_dir:
         evalharness.write_landscapes(result.rows, args.landscape_dir)
@@ -165,6 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="metaprop", description="Associative-network metadata propagation pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the walk's settings, shared by propagate and experiment; defaults are the library's
+    walk = argparse.ArgumentParser(add_help=False)
+    walk.add_argument("--delta", type=float, default=swarm.PropagationConfig.delta)
+    walk.add_argument("--max-steps", type=int, default=swarm.PropagationConfig.max_steps)
+    walk.add_argument("--energy-floor", type=float, default=swarm.PropagationConfig.energy_floor)
+    walk.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("ingest", help="parse a record file into a repository store")
     p.add_argument("input")
@@ -176,35 +185,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True, help="relation label, e.g. cite, cokey, coauth")
     p.add_argument("--output", required=True)
     p.add_argument("--no-normalize", action="store_true", help="keep raw edge weights")
-    p.add_argument("--postings-cap", type=int, default=None,
-                   help="skip co-occurrence values held by more than this many resources; "
-                        "applies only to co-occurrence relations")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("propagate", help="run particle propagation over a saved network")
+    p = sub.add_parser("propagate", parents=[walk], help="run particle propagation over a saved network")
     p.add_argument("network")
     p.add_argument("repo")
     p.add_argument("--output", required=True, help="recommendation store dump path")
-    p.add_argument("--delta", type=float, default=0.15)
-    p.add_argument("--max-steps", type=int, default=50)
-    p.add_argument("--energy-floor", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--normalize", action="store_true", help="normalize an unnormalized network on load")
     p.set_defaults(func=cmd_propagate)
 
-    p = sub.add_parser("experiment", help="run the atrophy/recover evaluation grid")
+    p = sub.add_parser("experiment", parents=[walk], help="run the atrophy/recover evaluation grid")
     p.add_argument("repo")
     p.add_argument("--relations", required=True, help="comma-separated relation labels (mu_y)")
     p.add_argument("--properties", required=True, help="comma-separated property types (mu_x)")
-    p.add_argument("--densities", default="0.01,0.21,0.41,0.61,0.81")
-    p.add_argument("--percentiles", default="0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--delta", type=float, default=0.15)
-    p.add_argument("--max-steps", type=int, default=50)
-    p.add_argument("--energy-floor", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=None)
+    # parsed in cmd_experiment, so a bad list is a data error
+    p.add_argument("--densities", default=",".join(map(repr, evalharness.DEFAULT_DENSITIES)))
+    p.add_argument("--percentiles", default=",".join(map(repr, evalharness.DEFAULT_PERCENTILES)))
+    p.add_argument("--runs", type=int, default=evalharness.ExperimentConfig.runs)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--postings-cap", type=int, default=None)
     p.add_argument("--output", required=True, help="results TSV path")
     p.add_argument("--landscape-dir", default=None, help="write per-pair F-score matrices here")
     p.set_defaults(func=cmd_experiment)

@@ -19,8 +19,8 @@ import math
 import random
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .netbuild import (
     COOCCURRENCE,
     AssociativeNetwork,
     NumberedValues,
-    RelationError,
     build_cooccurrence,
     build_occurrence,
     normalize,
@@ -68,6 +67,10 @@ class ExperimentConfig:
                 raise ValueError(f"percentile must be in [0, 1], got {rho}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.propagation.seed != 0:  # every walk's seed derives from master_seed
+            raise ValueError(
+                f"propagation.seed must be 0, got {self.propagation.seed}; set master_seed"
+            )
 
 
 @dataclass(frozen=True)
@@ -179,14 +182,12 @@ def f_score(pr: float, re: float) -> float:
     return 2.0 * pr * re / (pr + re)
 
 
-def build_relation_network(
-    repo: Repository, label: str, max_postings: Optional[int] = None
-) -> AssociativeNetwork:
+def build_relation_network(repo: Repository, label: str) -> AssociativeNetwork:
     """Build and normalize the network for a relation label, checked by
     ``relation_for``."""
-    relation = relation_for(repo, label, max_postings)
+    relation = relation_for(repo, label)
     if relation.kind == COOCCURRENCE:
-        net = build_cooccurrence(repo, relation.mu, max_postings=max_postings)
+        net = build_cooccurrence(repo, relation.mu)
     else:
         net = build_occurrence(repo, relation.mu)
     return normalize(net)
@@ -212,7 +213,7 @@ def _run_cell_once(
     atrophied = np.zeros(n, dtype=bool)
     atrophied[_atrophy_pick(np.flatnonzero(target.holds).tolist(), 1.0 - density, rng)] = True
     payload = (target.holds & ~atrophied, atrophied, target)
-    ((keys, _, totals),), _, _, _ = _walk(net, seed, prop_cfg, [payload])
+    ((keys, _, totals),), _, _, _ = _walk(net, replace(prop_cfg, seed=seed), [payload])
     n_values = len(target.names)
     truth_sizes = np.diff(target.value_ptr)
     truth_keys = np.repeat(np.arange(n) * n_values, truth_sizes) + target.value_ids
@@ -279,32 +280,21 @@ def _outcome(future: Future):
         return f"worker process died: {exc!r}"
 
 
-def run_experiment(
-    repo: Repository,
-    cfg: ExperimentConfig,
-    workers: int = 1,
-    max_postings: Optional[int] = None,
-) -> ExperimentResult:
+def run_experiment(repo: Repository, cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Full grid: for each (mu_y, mu_x, density, run), atrophy and propagate
     once, then score every percentile.  Networks are built once per mu_y
     from the full repository.  Results are independent of ``workers``.  A
     network that fails to build, a job that raises ValueError, and a job
     whose worker process dies or that is submitted after one died are each
     reported as ``CellError``s; any other exception in a job raises.  A
-    target property that no record holds, or a postings cap that
-    ``relation_for`` rejects, is an error, raised before any network is
-    built."""
+    target property that no record holds is an error, raised before any
+    network is built."""
     properties = repo.property_types()
     for mu_x in cfg.target_properties:
         if mu_x not in properties:
             raise ValueError(
                 f"no property {mu_x!r} in repository; its property types: {', '.join(properties)}"
             )
-    for mu_y in cfg.network_relations:
-        try:
-            relation_for(repo, mu_y, max_postings)
-        except RelationError:
-            continue  # its cells report the bad label or missing property
     networks: Dict[str, AssociativeNetwork] = {}
     # records in id order, which is the node order of every network built here
     records = list(repo)
@@ -312,7 +302,7 @@ def run_experiment(
     errors: List[CellError] = []
     for mu_y in cfg.network_relations:
         try:
-            networks[mu_y] = build_relation_network(repo, mu_y, max_postings=max_postings)
+            networks[mu_y] = build_relation_network(repo, mu_y)
         except ValueError as exc:
             for mu_x in cfg.target_properties:
                 for density in cfg.densities:
@@ -409,10 +399,21 @@ def _number(kind, parts: List[str], i: int, where: str):
         ) from None
 
 
+def _score(parts: List[str], i: int, where: str) -> float:
+    """Field ``i`` of a results line, a score: a number in [0, 1], not NaN."""
+    score = _number(float, parts, i, where)
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"{where}: {_RESULTS_COLUMNS[i]} must be in [0, 1], got {parts[i]!r}")
+    return score
+
+
 def load_results(source) -> List[MetricsRow]:
-    """Read a results file; a numeric field that does not parse, or an
-    ``anomalous`` flag other than 0 or 1, raises ValueError at its line."""
+    """Read a results file; a numeric field that does not parse, a score
+    (precision, recall, F or max F) outside [0, 1], an ``anomalous`` flag
+    other than 0 or 1, or a second row for a (mu_y, mu_x, density,
+    percentile) cell raises ValueError at its line."""
     rows: List[MetricsRow] = []
+    cells = set()
     with open(source, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != RESULTS_HEADER:
@@ -427,21 +428,27 @@ def load_results(source) -> List[MetricsRow]:
                 raise ValueError(f"{where}: expected 11 fields, got {len(parts)}")
             if parts[9] not in ("0", "1"):
                 raise ValueError(f"{where}: anomalous must be 0 or 1, got {parts[9]!r}")
-            rows.append(
-                MetricsRow(
-                    mu_y=parts[0],
-                    mu_x=parts[1],
-                    density=_number(float, parts, 2, where),
-                    percentile=_number(float, parts, 3, where),
-                    precision=_number(float, parts, 4, where),
-                    recall=_number(float, parts, 5, where),
-                    f_score=_number(float, parts, 6, where),
-                    f_score_max=_number(float, parts, 10, where),
-                    runs_averaged=_number(int, parts, 7, where),
-                    nodes_scored=_number(int, parts, 8, where),
-                    anomalous=parts[9] == "1",
-                )
+            row = MetricsRow(
+                mu_y=parts[0],
+                mu_x=parts[1],
+                density=_number(float, parts, 2, where),
+                percentile=_number(float, parts, 3, where),
+                precision=_score(parts, 4, where),
+                recall=_score(parts, 5, where),
+                f_score=_score(parts, 6, where),
+                f_score_max=_score(parts, 10, where),
+                runs_averaged=_number(int, parts, 7, where),
+                nodes_scored=_number(int, parts, 8, where),
+                anomalous=parts[9] == "1",
             )
+            cell = (row.mu_y, row.mu_x, row.density, row.percentile)
+            if cell in cells:
+                raise ValueError(
+                    f"{where}: a second row for {row.mu_y}/{row.mu_x} at density "
+                    f"{row.density!r}, percentile {row.percentile!r}"
+                )
+            cells.add(cell)
+            rows.append(row)
     return rows
 
 

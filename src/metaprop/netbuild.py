@@ -22,7 +22,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -91,13 +91,10 @@ def parse_relation(label: str) -> Relation:
     return Relation(OCCURRENCE, label)
 
 
-def relation_for(repo: Repository, label: str, max_postings: Optional[int] = None) -> Relation:
-    """The relation ``label`` names, checked against ``repo`` in this
-    order: a label that does not parse is a ``RelationError``; a postings
-    cap below 1 (it would drop every value), or one on an occurrence
-    relation (which never uses it), is a ``ValueError``; a property that no
-    record holds is a ``RelationError``.  Both ``RelationError``s end in
-    the repository's valid labels."""
+def relation_for(repo: Repository, label: str) -> Relation:
+    """The relation ``label`` names, checked against ``repo``: a label that
+    does not parse, or one over a property that no record holds, is a
+    ``RelationError`` that ends in the repository's valid labels."""
     properties = repo.property_types()
     kinds = (OCCURRENCE, COOCCURRENCE)
     valid = ", ".join(Relation(kind, mu).label for kind in kinds for mu in properties)
@@ -105,13 +102,6 @@ def relation_for(repo: Repository, label: str, max_postings: Optional[int] = Non
         relation = parse_relation(label)
     except RelationError as exc:
         raise RelationError(f"{exc}; valid labels: {valid}") from None
-    if max_postings is not None:
-        if max_postings < 1:
-            raise ValueError(f"a postings cap must be >= 1, got {max_postings}")
-        if relation.kind != COOCCURRENCE:
-            raise ValueError(
-                f"a postings cap applies only to co-occurrence relations, not {relation.label!r}"
-            )
     if relation.mu not in properties:
         raise RelationError(f"no property {relation.mu!r} in repository; valid labels: {valid}")
     return relation
@@ -373,17 +363,13 @@ def build_occurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     )
 
 
-def build_cooccurrence(
-    repo: Repository, mu: str, max_postings: Optional[int] = None
-) -> AssociativeNetwork:
+def build_cooccurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     """Symmetric network of shared property values, as S = B·Bᵀ over the
     node x value incidence matrix B.
 
     Equivalent to the brute-force all-pairs definition: for every pair with a
     nonempty value intersection of size c, both directed edges get weight
     c / (|values_i| + |values_j| - c), from exact integer counts.
-    ``max_postings`` optionally skips values held by more than that many
-    resources (off by default; results are exact when off).
 
     S is made in blocks of rows, chosen from an upper bound on each row's
     entries (the postings of its values, at most n), and each block's
@@ -394,15 +380,11 @@ def build_cooccurrence(
     ids = repo.ids()
     n = len(ids)
     _, names, value_ptr, cols = numbered_values(list(repo), mu)
-    sizes = np.diff(value_ptr).astype(np.float64)  # exact, as every count and sum below
+    counts = np.diff(value_ptr)
+    sizes = counts.astype(np.float64)  # exact, as every count and sum below
     postings = np.bincount(cols, minlength=len(names))
-    if max_postings is not None:
-        kept = postings[cols] <= max_postings
-        value_ptr = np.concatenate(([0], np.cumsum(kept)))[value_ptr]
-        cols = cols[kept]
-    kept_sizes = np.diff(value_ptr)
-    # a count is at most the smaller of a pair's kept value sets
-    count_type = np.min_scalar_type(int(kept_sizes.max(initial=1)))
+    # a count is at most the smaller of a pair's value sets
+    count_type = np.min_scalar_type(int(counts.max(initial=1)))
     incidence = scipy.sparse.csr_matrix(
         (np.ones(len(cols), dtype=count_type), cols.astype(np.int32), value_ptr),
         shape=(n, len(names)),
@@ -419,7 +401,7 @@ def build_cooccurrence(
         block = (incidence @ incidence[r0:r1].T).tocsc()
         src = np.repeat(np.arange(r0, r1, dtype=np.int32), np.diff(block.indptr))
         off_diagonal = block.indices != src
-        degree = np.diff(block.indptr) - (kept_sizes[r0:r1] > 0)
+        degree = np.diff(block.indptr) - (counts[r0:r1] > 0)
         np.cumsum(degree, out=indptr[r0 + 1 : r1 + 1])
         indptr[r0 + 1 : r1 + 1] += indptr[r0]
         lo, hi = indptr[r0], indptr[r1]

@@ -236,16 +236,16 @@ def propagate(
     # a property every node holds has no metadata-poor node to deposit at
     tables = [(mu, numbered_values(records, mu)) for mu in sorted(holders) if holders[mu] < len(ids)]
     payload = [(values.holds, ~values.holds, values) for _, values in tables]
-    deposits, ticks, frozen, residual = _walk(net, cfg.seed, cfg, payload)
+    deposits, ticks, frozen, residual = _walk(net, cfg, payload)
     store = RecommendationStore()
     for (mu, values), totals in zip(tables, deposits):
         _fill_store(store, ids, mu, values.names, totals)
     return PropagationResult(store=store, ticks=ticks, frozen=frozen, residual_energy=residual)
 
 
-def _walk(net: AssociativeNetwork, seed: int, cfg: PropagationConfig, payload: list):
+def _walk(net: AssociativeNetwork, cfg: PropagationConfig, payload: list):
     """The tick loop, over a normalized network with one particle per node,
-    node i's seeded by ``derive_seed(seed, net.ids[i])``.  ``payload`` lists
+    node i's seeded by ``derive_seed(cfg.seed, net.ids[i])``.  ``payload`` lists
     each carried property as (carrier mask, receiver mask,
     ``netbuild.NumberedValues``): a live particle whose home is a carrier
     deposits its home's values at each receiver it reaches.  The two masks
@@ -259,7 +259,7 @@ def _walk(net: AssociativeNetwork, seed: int, cfg: PropagationConfig, payload: l
     deposits = [[] for _ in payload]
     keep = 1.0 - cfg.delta
     indptr, indices, cum = net.indptr, net.indices, net.cum
-    rows = _draws(_node_seeds(net.ids, seed))
+    rows = _draws(_node_seeds(net.ids, cfg.seed))
     live = np.arange(n)  # homes of the non-frozen particles, ascending
     at = live  # each live particle's current node
     energy = 1.0

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -112,27 +113,6 @@ class TestBuildNetwork:
                      "--output", str(net)]) == 0
         assert "relation=occ:coref " in capsys.readouterr().out
         assert net.read_text().startswith("occ:coref\t")
-
-    @pytest.mark.parametrize("cap", ["-1", "0"])
-    def test_postings_cap_below_one_is_an_error(self, repo_file, tmp_path, capsys, cap):
-        # a cap below 1 drops every value, which used to write an edgeless network
-        net = tmp_path / "net.tsv"
-        rc = main(["build-network", str(repo_file), "--relation", "cokey",
-                   "--postings-cap", cap, "--output", str(net)])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: a postings cap must be >= 1, got {cap}\n"
-        assert not net.exists()
-
-    def test_postings_cap_on_an_occurrence_relation_is_an_error(self, repo_file, tmp_path, capsys):
-        # the cap applies only to co-occurrence values; it used to be ignored
-        net = tmp_path / "net.tsv"
-        rc = main(["build-network", str(repo_file), "--relation", "cite",
-                   "--postings-cap", "5", "--output", str(net)])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: a postings cap applies only to co-occurrence relations, not 'cite'\n"
-        )
-        assert not net.exists()
 
     def test_occurrence_relation_without_edges_is_an_error(self, repo_file, tmp_path, capsys):
         # "x" names no resource; this used to write an edgeless network with dangling=1
@@ -300,28 +280,6 @@ class TestExperiment:
                      "--output", str(results)]) == 0
         assert len(results.read_text().splitlines()) == 1 + 2
 
-    def test_postings_cap_below_one_is_an_error(self, tmp_path, capsys):
-        corpus = _corpus_file(tmp_path)
-        results = tmp_path / "results.tsv"
-        rc = main(["experiment", str(corpus), "--relations", "cokey",
-                   "--properties", "jour", "--runs", "1", "--seed", "3",
-                   "--postings-cap", "0", "--output", str(results)])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: a postings cap must be >= 1, got 0\n"
-        assert not results.exists()
-
-    def test_postings_cap_on_an_occurrence_relation_is_an_error(self, repo_file, tmp_path, capsys):
-        # it used to exit 0 with the cap silently unused
-        results = tmp_path / "results.tsv"
-        rc = main(["experiment", str(repo_file), "--relations", "cite",
-                   "--properties", "key", "--runs", "1", "--seed", "3",
-                   "--postings-cap", "3", "--output", str(results)])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: a postings cap applies only to co-occurrence relations, not 'cite'\n"
-        )
-        assert not results.exists()
-
     def test_unknown_property_is_an_error(self, tmp_path, capsys):
         # it used to exit 0 with 55 rows that scored 0 over 0 nodes
         corpus = _corpus_file(tmp_path)
@@ -397,6 +355,27 @@ def test_unusable_output_fails_before_the_grid(tmp_path, capsys, monkeypatch, ou
     )
 
 
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes through any permission bits")
+def test_unwritable_output_directory_fails_before_the_grid(tmp_path, capsys, monkeypatch):
+    # it used to be reported only after the whole grid had run
+    def grid(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(evalharness, "run_experiment", grid)
+    corpus = _corpus_file(tmp_path)
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o500)
+    try:
+        assert_one_error(
+            capsys,
+            ["experiment", str(corpus), "--relations", "cokey", "--properties", "jour",
+             "--runs", "1", "--seed", "3", "--output", str(locked / "r.tsv")],
+            "Permission denied",
+        )
+    finally:
+        locked.chmod(0o700)
+
+
 def test_landscape_dir_naming_a_file_fails_before_the_grid(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -459,6 +438,34 @@ class TestReport:
 
     def test_missing_file(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.tsv")]) != 0
+
+    def _assert_rejected(self, capsys, results, message):
+        capsys.readouterr()
+        assert main(["report", str(results)]) == 1
+        assert capsys.readouterr() == ("", f"error: {results}:{message}\n")
+
+    def test_second_row_for_a_cell_is_an_error(self, tmp_path, capsys):
+        # a copy with F 0.0 used to exit 0, pull the mean F down and take the
+        # cell's place in the landscape
+        results = self._results(tmp_path)
+        lines = results.read_text().splitlines(keepends=True)
+        fields = next(l for l in lines if l.startswith("cokey\tjour\t0.41\t0.0\t")).split("\t")
+        fields[6] = "0.0"
+        results.write_text("".join(lines) + "\t".join(fields))
+        self._assert_rejected(
+            capsys, results,
+            f"{len(lines) + 1}: a second row for cokey/jour at density 0.41, percentile 0.0",
+        )
+
+    @pytest.mark.parametrize("column, bad", [(4, "1.5"), (5, "-0.25"), (6, "nan"), (10, "2")])
+    def test_score_outside_the_unit_interval_is_an_error(self, tmp_path, capsys, column, bad):
+        results = self._results(tmp_path)
+        header, first, rest = results.read_text().split("\n", 2)
+        fields = first.split("\t")
+        fields[column] = bad
+        results.write_text("\n".join([header, "\t".join(fields), rest]))
+        name = header.split("\t")[column]
+        self._assert_rejected(capsys, results, f"2: {name} must be in [0, 1], got {bad!r}")
 
 
 def test_program_bug_keeps_its_traceback(record_file, tmp_path, monkeypatch):

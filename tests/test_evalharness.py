@@ -2,8 +2,11 @@ import math
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -278,21 +281,38 @@ class TestRunExperiment:
             run_experiment(repo, _small_cfg(target_properties=("jour", "nosuch")))
         assert not built  # raised before any network was built
 
-    @pytest.mark.parametrize("relations, cap, message", [
-        (("cokey",), 0, "a postings cap must be >= 1, got 0"),
-        (("cokey", "auth"), 3, "a postings cap applies only to co-occurrence relations, not 'auth'"),
-        # the cap is checked before the property, whose error is only its cells'
-        (("cokey", "nosuch"), 3, "a postings cap applies only to co-occurrence relations, not 'nosuch'"),
-    ])
-    def test_bad_postings_cap_is_an_error(self, monkeypatch, relations, cap, message):
-        # a cap of 0 used to score an edgeless network, and one on an
-        # occurrence relation went unused
-        built = []
-        monkeypatch.setattr(evalharness, "build_relation_network", lambda *a, **k: built.append(a))
-        repo = two_cluster_corpus(n_records=20, seed=0)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            run_experiment(repo, _small_cfg(network_relations=relations), max_postings=cap)
-        assert not built  # raised before any network was built
+    def test_propagation_seed_is_an_error(self):
+        # every walk's seed derives from master_seed; this one was ignored
+        with pytest.raises(ValueError, match="^propagation.seed must be 0, got 5; set master_seed$"):
+            _small_cfg(propagation=PropagationConfig(seed=5))
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_results_do_not_depend_on_the_start_method(self, tmp_path, method):
+        # a pool that does not fork pickles the config, networks and targets
+        # into each worker; Python 3.14 makes forkserver the Linux default
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        script = (
+            "import multiprocessing, sys\n"
+            "from metaprop.evalharness import ExperimentConfig, run_experiment, save_results\n"
+            "from metaprop.synthetic import two_cluster_corpus\n"
+            "if __name__ == '__main__':\n"
+            f"    multiprocessing.set_start_method({method!r}, force=True)\n"
+            "    repo = two_cluster_corpus(n_records=300, seed=0)\n"
+            "    cfg = ExperimentConfig(('cokey', 'coauth'), ('jour',), runs=2)\n"
+            "    for workers in (1, 2):\n"
+            "        save_results(run_experiment(repo, cfg, workers=workers).rows, sys.argv[workers])\n"
+        )
+        src = str(Path(evalharness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        (tmp_path / "grid.py").write_text(script)
+        outputs = [tmp_path / "w1.tsv", tmp_path / "w2.tsv"]
+        subprocess.run(
+            [sys.executable, str(tmp_path / "grid.py"), *map(str, outputs)],
+            env={**os.environ, "PYTHONPATH": path}, check=True,
+        )
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        assert len(load_results(outputs[0])) == 2 * 5 * 11
 
     def test_serial_grid_lets_its_networks_go(self):
         run_experiment(two_cluster_corpus(n_records=20, seed=0), _small_cfg(), workers=1)
@@ -315,7 +335,7 @@ class TestRunExperiment:
             _small_cfg(**{axis: entries})
 
     def test_data_error_in_walk_becomes_cell_error(self, monkeypatch):
-        def walk(net, seed, cfg, payload):
+        def walk(net, cfg, payload):
             raise ValueError("bad data")
 
         monkeypatch.setattr(evalharness, "_walk", walk)
@@ -324,7 +344,7 @@ class TestRunExperiment:
         assert [e.message for e in result.errors] == ["bad data", "bad data"]
 
     def test_program_bug_in_walk_raises(self, monkeypatch):
-        def walk(net, seed, cfg, payload):
+        def walk(net, cfg, payload):
             raise TypeError("a bug")
 
         monkeypatch.setattr(evalharness, "_walk", walk)

@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,17 +32,14 @@ from metaprop.records import Repository, make_record
 from corpora import random_repository
 
 
-def brute_force_cooccurrence(repo, mu, max_postings=None):
+def brute_force_cooccurrence(repo, mu):
     """O(N^2) reference for the co-occurrence definition: edge weights as a
-    dict {(src, dst): w}.  Kept independent of build_cooccurrence's sparse product.
-    With ``max_postings``, a value held by more resources is not shared, but
-    still counts in its holders' value set sizes."""
-    held = Counter(x for rec in repo for x in rec.values(mu))
+    dict {(src, dst): w}.  Kept independent of build_cooccurrence's sparse product."""
     weights = {}
     ids = repo.ids()
     for i, j in itertools.combinations(ids, 2):
         a, b = repo.meta(i, mu), repo.meta(j, mu)
-        co = sum(1 for x in a & b if max_postings is None or held[x] <= max_postings)
+        co = len(a & b)
         if co:
             w = co / (len(a) + len(b) - co)
             weights[(i, j)] = w
@@ -141,7 +137,7 @@ class TestRelations:
         valid = "; valid labels: cite, key, cocite, cokey"
         with pytest.raises(RelationError, match=f"^{re.escape(message + valid)}$"):
             relation_for(repo, label)
-        assert relation_for(repo, "cokey", max_postings=1) == Relation(COOCCURRENCE, "key")
+        assert relation_for(repo, "cokey") == Relation(COOCCURRENCE, "key")
 
     @given(st.sampled_from([OCCURRENCE, COOCCURRENCE]), st.text("oc:x", min_size=1, max_size=7))
     def test_label_reads_back(self, kind, mu):
@@ -268,12 +264,6 @@ class TestCooccurrence:
             assert dict(net.out_edges(d)).get(s) == w
             if w == 1.0:
                 assert repo.meta(s, "auth") == repo.meta(d, "auth")
-
-    def test_postings_cap_drops_hot_values(self):
-        records = [make_record(f"r{i}", {"key": ["hot", f"k{i}"]}) for i in range(6)]
-        repo = Repository(records)
-        assert build_cooccurrence(repo, "key", max_postings=3).edge_count == 0
-        assert build_cooccurrence(repo, "key").edge_count == 30
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -803,14 +793,14 @@ def test_occurrence_equals_brute_force_property(repo):
 
 
 @settings(max_examples=30)
-@given(st.integers(min_value=2, max_value=25), st.integers(), st.sampled_from([None, 1, 2, 4]))
-def test_cooccurrence_equals_brute_force_property(n, seed, cap):
-    # records without a value, or whose values all pass the cap, are empty rows
+@given(st.integers(min_value=2, max_value=25), st.integers())
+def test_cooccurrence_equals_brute_force_property(n, seed):
+    # records without a value are empty rows
     repo = random_repository(n_records=n, seed=seed, vocab_size=8)
-    expected = brute_force_cooccurrence(repo, "key", cap)
+    expected = brute_force_cooccurrence(repo, "key")
     for block_entries in BLOCK_SIZES:
         with blocks_of(block_entries):
-            assert edge_dict(build_cooccurrence(repo, "key", max_postings=cap)) == expected
+            assert edge_dict(build_cooccurrence(repo, "key")) == expected
 
 
 @BLOCK_ENTRIES
