@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from metaprop import evalharness, records
-from metaprop.cli import main
+from metaprop import evalharness, records, swarm
+from metaprop.cli import _float_list, _propagation, build_parser, main
 
 
 @pytest.fixture
@@ -249,6 +249,20 @@ def _corpus_file(tmp_path, n=40, seed=0):
     return path
 
 
+_DEFAULTS_ARGV = {
+    "propagate": ["propagate", "net.tsv", "repo.jsonl", "--output", "store.tsv"],
+    "experiment": ["experiment", "repo.jsonl", "--relations", "cokey",
+                   "--properties", "jour", "--output", "results.tsv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS_ARGV))
+def test_walk_defaults_are_the_library_defaults(command):
+    args = build_parser().parse_args(_DEFAULTS_ARGV[command])
+    assert args.seed is None
+    assert _propagation(args) == swarm.PropagationConfig()
+
+
 class TestExperiment:
     def test_default_grid_row_count(self, tmp_path, capsys):
         corpus = _corpus_file(tmp_path)
@@ -303,6 +317,25 @@ class TestExperiment:
         assert rc == 1
         assert capsys.readouterr().err == "error: densities must not be empty\n"
         assert not results.exists()
+
+    def test_bad_percentile_list_is_one_error_line(self, tmp_path, capsys):
+        # the lists are parsed by the command, not by argparse, whose exit is 2
+        corpus = _corpus_file(tmp_path)
+        results = tmp_path / "results.tsv"
+        rc = main(["experiment", str(corpus), "--relations", "cokey",
+                   "--properties", "jour", "--percentiles", "0,x", "--seed", "3",
+                   "--output", str(results)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: could not convert string to float: 'x'\n"
+        assert not results.exists()
+
+    def test_grid_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(_DEFAULTS_ARGV["experiment"])
+        assert _float_list(args.densities) == evalharness.DEFAULT_DENSITIES
+        assert _float_list(args.percentiles) == evalharness.DEFAULT_PERCENTILES
+        assert args.runs == evalharness.ExperimentConfig.runs
 
     def test_landscapes_written(self, tmp_path):
         corpus = _corpus_file(tmp_path)
