@@ -90,10 +90,6 @@ def cmd_propagate(args) -> int:
     cfg = _propagation(args, _seed(args))
     net = netbuild.load_network(args.network)
     repo = records.load_repository(args.repo)
-    if not net.normalized:
-        if not args.normalize:
-            return _err("network is not normalized; pass --normalize to normalize on load")
-        net = netbuild.normalize(net)
     result = swarm.propagate(net, repo, cfg)
     swarm.save_store(result.store, args.output)
     print(result.report())
@@ -191,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("repo")
     p.add_argument("--output", required=True, help="recommendation store dump path")
-    p.add_argument("--normalize", action="store_true", help="normalize an unnormalized network on load")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("experiment", parents=[walk], help="run the atrophy/recover evaluation grid")

@@ -40,6 +40,28 @@ from .swarm import PropagationConfig, RecommendationStore, _sequential_sum, _wal
 DEFAULT_DENSITIES = (0.01, 0.21, 0.41, 0.61, 0.81)
 DEFAULT_PERCENTILES = tuple(round(i / 10, 1) for i in range(11))
 
+# the range of each grid setting and results column that has one, checked
+# by ExperimentConfig and by load_results; NaN lies outside every range
+_UNIT = ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+_RANGES = {
+    "density": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
+    "percentile": _UNIT,
+    "runs": (">= 1", lambda x: x >= 1),
+    "nodes_scored": (">= 0", lambda x: x >= 0),
+    "precision": _UNIT,
+    "recall": _UNIT,
+    "fscore": _UNIT,
+    "fscore_max": _UNIT,
+}
+
+
+def _check_range(name: str, value, shown, where: str = "") -> None:
+    """Raise ValueError "{where}{name} must be {range}, got {shown}" when
+    ``value`` lies outside ``name``'s range."""
+    bound, holds = _RANGES[name]
+    if not holds(value):
+        raise ValueError(f"{where}{name} must be {bound}, got {shown}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -59,14 +81,11 @@ class ExperimentConfig:
             repeated = [x for k, x in enumerate(entries) if x in entries[:k]]
             if repeated:  # its jobs would run, and its rows be written, twice
                 raise ValueError(f"{axis} repeats {repeated[0]!r}")
-        for d in self.densities:
-            if not 0.0 < d < 1.0:
-                raise ValueError(f"density must be in (0, 1), got {d}")
-        for rho in self.percentiles:
-            if not 0.0 <= rho <= 1.0:
-                raise ValueError(f"percentile must be in [0, 1], got {rho}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        for name, values in (
+            ("density", self.densities), ("percentile", self.percentiles), ("runs", (self.runs,))
+        ):
+            for x in values:
+                _check_range(name, x, x)
         if self.propagation.seed != 0:  # every walk's seed derives from master_seed
             raise ValueError(
                 f"propagation.seed must be 0, got {self.propagation.seed}; set master_seed"
@@ -287,8 +306,10 @@ def run_experiment(repo: Repository, cfg: ExperimentConfig, workers: int = 1) ->
     network that fails to build, a job that raises ValueError, and a job
     whose worker process dies or that is submitted after one died are each
     reported as ``CellError``s; any other exception in a job raises.  A
-    target property that no record holds is an error, raised before any
-    network is built."""
+    target property that no record holds, or fewer than one worker, is an
+    error, raised before any network is built."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     properties = repo.property_types()
     for mu_x in cfg.target_properties:
         if mu_x not in properties:
@@ -390,28 +411,25 @@ _RESULTS_COLUMNS = RESULTS_HEADER.split("\t")
 
 
 def _number(kind, parts: List[str], i: int, where: str):
-    """Field ``i`` of a results line parsed by ``kind`` (int or float)."""
+    """Field ``i`` of a results line parsed by ``kind`` (int or float) and
+    checked against its column's range."""
+    name = _RESULTS_COLUMNS[i]
     try:
-        return kind(parts[i])
+        value = kind(parts[i])
     except ValueError:
-        raise ValueError(
-            f"{where}: {_RESULTS_COLUMNS[i]} must be {kind.__name__}, got {parts[i]!r}"
-        ) from None
-
-
-def _score(parts: List[str], i: int, where: str) -> float:
-    """Field ``i`` of a results line, a score: a number in [0, 1], not NaN."""
-    score = _number(float, parts, i, where)
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"{where}: {_RESULTS_COLUMNS[i]} must be in [0, 1], got {parts[i]!r}")
-    return score
+        raise ValueError(f"{where}: {name} must be {kind.__name__}, got {parts[i]!r}") from None
+    if name in _RANGES:
+        _check_range(name, value, repr(parts[i]), f"{where}: ")
+    return value
 
 
 def load_results(source) -> List[MetricsRow]:
     """Read a results file; a numeric field that does not parse, a score
-    (precision, recall, F or max F) outside [0, 1], an ``anomalous`` flag
-    other than 0 or 1, or a second row for a (mu_y, mu_x, density,
-    percentile) cell raises ValueError at its line."""
+    (precision, recall, F or max F) outside [0, 1], a density, percentile or
+    run count outside the range ``ExperimentConfig`` allows, a negative
+    ``nodes_scored``, an ``anomalous`` flag other than 0 or 1, or a second
+    row for a (mu_y, mu_x, density, percentile) cell raises ValueError at
+    its line."""
     rows: List[MetricsRow] = []
     cells = set()
     with open(source, "r", encoding="utf-8") as fh:
@@ -433,10 +451,10 @@ def load_results(source) -> List[MetricsRow]:
                 mu_x=parts[1],
                 density=_number(float, parts, 2, where),
                 percentile=_number(float, parts, 3, where),
-                precision=_score(parts, 4, where),
-                recall=_score(parts, 5, where),
-                f_score=_score(parts, 6, where),
-                f_score_max=_score(parts, 10, where),
+                precision=_number(float, parts, 4, where),
+                recall=_number(float, parts, 5, where),
+                f_score=_number(float, parts, 6, where),
+                f_score_max=_number(float, parts, 10, where),
                 runs_averaged=_number(int, parts, 7, where),
                 nodes_scored=_number(int, parts, 8, where),
                 anomalous=parts[9] == "1",

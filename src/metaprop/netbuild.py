@@ -37,10 +37,6 @@ class RelationError(ValueError):
     pass
 
 
-class AlreadyNormalizedError(ValueError):
-    pass
-
-
 class NetworkFormatError(ValueError):
     def __init__(self, location: str, message: str):
         super().__init__(f"{location}: {message}")
@@ -422,9 +418,9 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     """Scale each node's outgoing weights into a probability distribution.
 
     Each row is divided by its total, summed in destination order.  Nodes
-    without outgoing edges are unchanged.  Normalizing an already normalized
-    network, or one with a row total past the largest float, is an error, as
-    is a weight that the division takes to 0.
+    without outgoing edges are unchanged.  A network that is already
+    normalized is returned as it is.  A row total past the largest float is
+    an error, as is a weight that the division takes to 0.
 
     One pass over the rows makes the weights and the walk's running sums:
     a row's running sum of its raw weights ends in its total, and one of its
@@ -432,7 +428,7 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     checked when ``net`` was made, so only the new weights are checked.
     """
     if net.normalized:
-        raise AlreadyNormalizedError(f"network {net.relation.label!r} is already normalized")
+        return net
     raw = net.weights
     weights, cum = np.empty_like(raw), np.empty_like(raw)
     bounds = net.indptr.tolist()

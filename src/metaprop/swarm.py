@@ -43,14 +43,10 @@ from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from .netbuild import AssociativeNetwork, numbered_values
+from .netbuild import AssociativeNetwork, normalize, numbered_values
 from .records import Repository
 
 ENERGY_FORMAT = "%.12g"  # store dump rendering; in-memory energies stay exact
-
-
-class NotNormalizedError(ValueError):
-    pass
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -75,7 +71,7 @@ class PropagationConfig:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.energy_floor < 0.0:
+        if not self.energy_floor >= 0.0:  # NaN too, which would switch the floor off
             raise ValueError(f"energy_floor must be >= 0, got {self.energy_floor}")
 
 
@@ -224,12 +220,12 @@ def propagate(
     """Run synchronous ticks until max_steps or the summed energy of
     non-frozen particles drops to the floor.
 
-    Per tick, each non-frozen particle moves (or freezes at a dead end) and
-    deposits at its new node unless that node is its home.  Deterministic
-    for a fixed (network, repository, config).
+    A raw network is normalized first.  Per tick, each non-frozen particle
+    moves (or freezes at a dead end) and deposits at its new node unless
+    that node is its home.  Deterministic for a fixed (network, repository,
+    config).
     """
-    if not net.normalized:
-        raise NotNormalizedError("network must be normalized before propagation")
+    net = normalize(net)
     ids = net.ids  # sorted, so particle (and node) i is the i-th id
     records = [repo.record(node) for node in ids]
     holders = Counter(mu for rec in records for mu, values in rec.properties.items() if values)

@@ -160,17 +160,18 @@ class TestPropagate:
             dumps.append(path.read_bytes())
         assert dumps[0] == dumps[1]
 
-    def test_unnormalized_requires_flag(self, repo_file, tmp_path, capsys):
-        net = tmp_path / "raw.tsv"
+    def test_raw_network_is_normalized_on_load(self, repo_file, tmp_path):
+        # it used to need a --normalize flag; the file's header says whether it is
+        raw = tmp_path / "raw.tsv"
         assert main(["build-network", str(repo_file), "--relation", "cite",
-                     "--no-normalize", "--output", str(net)]) == 0
-        store = tmp_path / "store.tsv"
-        rc = main(["propagate", str(net), str(repo_file), "--seed", "1",
-                   "--output", str(store)])
-        assert rc != 0
-        assert "--normalize" in capsys.readouterr().err
-        assert main(["propagate", str(net), str(repo_file), "--seed", "1",
-                     "--normalize", "--output", str(store)]) == 0
+                     "--no-normalize", "--output", str(raw)]) == 0
+        stores = []
+        for net in (raw, self._build(repo_file, tmp_path)):
+            store = tmp_path / f"{net.stem}-store.tsv"
+            assert main(["propagate", str(net), str(repo_file), "--seed", "1",
+                         "--output", str(store)]) == 0
+            stores.append(store.read_bytes())
+        assert stores[0] == stores[1]
 
     def test_non_utf8_network_is_an_error(self, repo_file, tmp_path, capsys):
         net = self._build(repo_file, tmp_path)
@@ -186,7 +187,7 @@ class TestPropagate:
                      "--no-normalize", "--output", str(net)]) == 0
         header, first, rest = net.read_text().split("\n", 2)
         net.write_text(header + "\n" + first.rsplit("\t", 1)[0] + "\tinf\n" + rest)
-        rc = main(["propagate", str(net), str(repo_file), "--normalize",
+        rc = main(["propagate", str(net), str(repo_file),
                    "--output", str(tmp_path / "s.tsv")])
         assert rc == 1
         assert "infinite weight on ('A', 'B')" in capsys.readouterr().err
@@ -197,8 +198,9 @@ class TestPropagate:
             ("--delta", "2", "delta must be in [0, 1], got 2.0"),
             ("--max-steps", "0", "max_steps must be >= 1, got 0"),
             ("--energy-floor", "-1e-3", "energy_floor must be >= 0, got -0.001"),
+            ("--energy-floor", "nan", "energy_floor must be >= 0, got nan"),
         ],
-        ids=["delta", "max-steps", "energy-floor"],
+        ids=["delta", "max-steps", "energy-floor", "energy-floor-nan"],
     )
     def test_bad_walk_setting_is_an_error(self, repo_file, tmp_path, capsys, option, value, message):
         net = self._build(repo_file, tmp_path)
@@ -227,8 +229,7 @@ class TestPropagate:
         store = tmp_path / "s.tsv"
         assert_one_error(
             capsys,
-            ["propagate", str(net), str(repo_file), "--seed", "1", "--normalize",
-             "--output", str(store)],
+            ["propagate", str(net), str(repo_file), "--seed", "1", "--output", str(store)],
             "out-weights of 'A' sum past the largest float",
         )
         assert not store.exists()
@@ -330,6 +331,46 @@ class TestExperiment:
         assert out == ""
         assert err == "error: could not convert string to float: 'x'\n"
         assert not results.exists()
+
+    def test_workers_below_one_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # it used to run the grid serially and exit 0
+        built = []
+        monkeypatch.setattr(evalharness, "build_relation_network", lambda *a: built.append(a))
+        results = tmp_path / "results.tsv"
+        assert_one_error(
+            capsys,
+            ["experiment", str(_corpus_file(tmp_path)), "--relations", "cokey",
+             "--properties", "jour", "--workers", "-3", "--seed", "3", "--output", str(results)],
+            "workers must be >= 1, got -3",
+        )
+        assert not built and not results.exists()
+
+    def test_failed_cells_are_reported(self, tmp_path, capsys):
+        results = tmp_path / "results.tsv"
+        rc = main(["experiment", str(_corpus_file(tmp_path)), "--relations", "cokey,nosuch",
+                   "--properties", "jour", "--densities", "0.41,0.61", "--percentiles", "0",
+                   "--runs", "1", "--seed", "3", "--output", str(results)])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["cell error"] * 2 + ["2 cell failures recorded"]
+        assert err[0].startswith(
+            "cell error: nosuch/jour density=0.41 run=-1: network build failed: no property 'nosuch'"
+        )
+        assert err[1].startswith("cell error: nosuch/jour density=0.61 run=-1: ")
+        assert len(results.read_text().splitlines()) == 1 + 2  # the cokey rows
+
+    def test_all_cells_failed_is_an_error(self, tmp_path, capsys):
+        results = tmp_path / "results.tsv"
+        rc = main(["experiment", str(_corpus_file(tmp_path)), "--relations", "nosuch",
+                   "--properties", "jour", "--densities", "0.41", "--runs", "1", "--seed", "3",
+                   "--output", str(results)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == ["1 cell failures recorded", "error: all cells failed"]
+        # the header alone is written; report rejects it
+        assert results.read_text() == evalharness.RESULTS_HEADER + "\n"
+        assert main(["report", str(results)]) == 1
+        assert capsys.readouterr() == ("", f"error: {results}: results file contains no rows\n")
 
     def test_grid_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(_DEFAULTS_ARGV["experiment"])
@@ -499,6 +540,22 @@ class TestReport:
         results.write_text("\n".join([header, "\t".join(fields), rest]))
         name = header.split("\t")[column]
         self._assert_rejected(capsys, results, f"2: {name} must be in [0, 1], got {bad!r}")
+
+    @pytest.mark.parametrize(
+        "column, bad, reason",
+        [(2, "5.0", "in (0, 1)"), (3, "7.0", "in [0, 1]"), (7, "0", ">= 1"), (8, "-3", ">= 0")],
+        ids=["density", "percentile", "runs", "nodes_scored"],
+    )
+    def test_grid_field_outside_its_range_is_an_error(self, tmp_path, capsys, column, bad, reason):
+        # such a row used to load, and its density or percentile to become one
+        # more landscape row or column
+        results = self._results(tmp_path)
+        header, first, rest = results.read_text().split("\n", 2)
+        fields = first.split("\t")
+        fields[column] = bad
+        results.write_text("\n".join([header, "\t".join(fields), rest]))
+        name = header.split("\t")[column]
+        self._assert_rejected(capsys, results, f"2: {name} must be {reason}, got {bad!r}")
 
 
 def test_program_bug_keeps_its_traceback(record_file, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,6 +335,45 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"^{axis} repeats {entries[-1]!r}$"):
             _small_cfg(**{axis: entries})
 
+    @pytest.mark.parametrize("setting, value, message", [
+        ("densities", (0.41, 1.0), "density must be in (0, 1), got 1.0"),
+        ("densities", (0.0,), "density must be in (0, 1), got 0.0"),
+        ("percentiles", (0.5, -0.1), "percentile must be in [0, 1], got -0.1"),
+        ("percentiles", (math.nan,), "percentile must be in [0, 1], got nan"),
+        ("runs", 0, "runs must be >= 1, got 0"),
+    ])
+    def test_setting_outside_its_range_is_an_error(self, setting, value, message):
+        with pytest.raises(ValueError) as caught:
+            _small_cfg(**{setting: value})
+        assert str(caught.value) == message
+
+    def test_grid_over_an_occurrence_relation(self, tmp_path):
+        # records cite in their own cluster, one cites an id no record has,
+        # and every fifth cites nothing, so its particle freezes at once
+        base = two_cluster_corpus(n_records=60, seed=4)
+        rnd = random.Random(4)
+        ids = base.ids()
+        records = []
+        for i, rec in enumerate(base):
+            cites = [] if i % 5 == 0 else rnd.sample(ids[i % 2::2], 3)
+            cites = [rid for rid in cites if rid != rec.id] + (["r99999"] if i == 1 else [])
+            records.append(make_record(rec.id, {**rec.properties, "cite": cites}))
+        repo = Repository(records)
+        net = build_relation_network(repo, "cite")
+        assert net.dangling == 1 and 0 in np.diff(net.indptr)
+        cfg = _small_cfg(network_relations=("cite", "cokey"), target_properties=("jour",), runs=2)
+        paths = []
+        for workers in (1, 2):
+            result = run_experiment(repo, cfg, workers=workers)
+            assert not result.errors
+            paths.append(tmp_path / f"w{workers}.tsv")
+            save_results(result.rows, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        seed = evalharness.derive_seed(cfg.master_seed, "cite", "jour", 0, 1)
+        args = (net, repo, "jour", cfg.densities[0], cfg.percentiles, cfg.propagation, seed)
+        assert exact(run_cell_once(*args)) == exact(reference_run_cell_once(*args))
+        assert {r.mu_y for r in load_results(paths[0])} == {"cite", "cokey"}
+
     def test_data_error_in_walk_becomes_cell_error(self, monkeypatch):
         def walk(net, cfg, payload):
             raise ValueError("bad data")
@@ -563,6 +603,14 @@ class TestResultsIO:
         path.write_text(RESULTS_HEADER + "\n" + "\t".join(fields) + "\n")
         name = RESULTS_HEADER.split("\t")[column]
         with pytest.raises(ValueError, match=rf"results\.tsv:2: {name} must be"):
+            load_results(path)
+
+    @pytest.mark.parametrize("cut, count", [(slice(0, 10), 10), (slice(0, 12), 12)])
+    def test_wrong_field_count_rejected(self, tmp_path, cut, count):
+        fields = ("cokey jour 0.61 0.0 0.5 0.5 0.5 2 10 0 0.5".split() + ["x"])[cut]
+        path = tmp_path / "results.tsv"
+        path.write_text(RESULTS_HEADER + "\n" + "\t".join(fields) + "\n")
+        with pytest.raises(ValueError, match=rf"results\.tsv:2: expected 11 fields, got {count}$"):
             load_results(path)
 
     @pytest.mark.parametrize("flag", ["7", "", "true", "-1"])

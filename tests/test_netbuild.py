@@ -13,7 +13,6 @@ from metaprop import netbuild
 from metaprop.netbuild import (
     COOCCURRENCE,
     OCCURRENCE,
-    AlreadyNormalizedError,
     AssociativeNetwork,
     NetworkFormatError,
     Relation,
@@ -318,11 +317,11 @@ class TestNormalize:
         normed = normalize(build_occurrence(repo, "cite"))
         assert dict(normed.out_edges("a")).get("b") == 1.0
 
-    def test_double_normalization_is_an_error(self):
+    def test_normalized_network_is_returned_as_is(self):
+        # normalizing twice used to be an error
         repo = Repository([make_record("a", {"cite": ["b"]}), make_record("b", {})])
         normed = normalize(build_occurrence(repo, "cite"))
-        with pytest.raises(AlreadyNormalizedError):
-            normalize(normed)
+        assert normalize(normed) is normed
 
     def test_overflowing_row_total_is_an_error(self):
         big = np.finfo(np.float64).max * 0.75
@@ -472,6 +471,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="infinite weight on \\('a', 'b'\\)"):
             AssociativeNetwork(Relation(OCCURRENCE, "cite"), ["a", "b"], [0, 1, 1], [1], [math.inf])
 
+    @pytest.mark.parametrize("ids, indptr, indices, message", [
+        (["b", "a"], [0, 1, 1], [1], "node ids must be sorted and distinct"),
+        (["a", "a"], [0, 1, 1], [1], "node ids must be sorted and distinct"),
+        (["a", "b"], [0, 1], [1], "malformed CSR arrays"),
+        (["a", "b"], [0, 1, 0], [], "malformed CSR arrays"),
+        (["a", "b"], [0, 1, 1], [2], "edge target not in node set"),
+    ])
+    def test_bad_arrays_rejected_on_construction(self, ids, indptr, indices, message):
+        with pytest.raises(ValueError) as caught:
+            AssociativeNetwork(Relation(OCCURRENCE, "cite"), ids, indptr, indices, [1.0] * len(indices))
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize(
         "header, message",
         [
@@ -482,8 +493,11 @@ class TestSerialization:
             ("cokey\t2\t2\t\t0", "bad header counts"),
             ("cokey\t2\t2\t0\t-5", "negative dangling count -5"),
             ("cokey\t2\t2\t0\tx", "bad header counts"),
+            ("", "missing header line"),
+            ("cokey\t2\t2\t0", r"bad header \(4 fields, expected 5\)"),
         ],
-        ids=["flag-7", "flag-space-1", "flag-minus-1", "flag-01", "flag-empty", "dangling-minus-5", "dangling-x"],
+        ids=["flag-7", "flag-space-1", "flag-minus-1", "flag-01", "flag-empty", "dangling-minus-5", "dangling-x",
+             "empty", "four-fields"],
     )
     def test_bad_header_fields_rejected(self, table1_repo, tmp_path, header, message):
         path = tmp_path / "net.tsv"

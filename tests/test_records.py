@@ -60,6 +60,20 @@ class TestIngest:
             ingest(_lines({"id": "m1", "properties": {"k": ["a", value]}}))
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("line, message", [
+        ('["m1"]', "record must be an object with an 'id' field"),
+        ('{"properties": {}}', "record must be an object with an 'id' field"),
+        ('{"id": "m1", "properties": ["key"]}', "'properties' must be an object"),
+        ('{"id": "m1", "properties": {"key": "a"}}', "values of 'key' must be an array"),
+        ('{"id": "m1", "properties": {"": ["a"]}}', "property type must be a non-empty string, got ''"),
+        ('{"id": "m1", "properties": {"key": ["a\\tb"]}}',
+         "value of 'key' must not contain tab/newline: 'a\\tb'"),
+    ])
+    def test_malformed_record_rejected(self, line, message):
+        with pytest.raises(RecordError) as caught:
+            ingest([json.dumps({"id": "m0"}), line])
+        assert str(caught.value) == f"line 2: {message}"
+
 
 class TestMeta:
     def test_returns_ingested_set(self):

@@ -18,7 +18,6 @@ from metaprop.netbuild import (
 )
 from metaprop.records import Repository, ResourceRecord, UnknownResourceError, make_record
 from metaprop.swarm import (
-    NotNormalizedError,
     PropagationConfig,
     PropagationResult,
     RecommendationStore,
@@ -44,8 +43,7 @@ def reference_propagate(net, repo, cfg):
     """The per-particle scalar loop that propagate's per-tick array step
     replaced; kept as the oracle for stores, ticks, frozen counts and
     residual energies."""
-    if not net.normalized:
-        raise NotNormalizedError("network must be normalized before propagation")
+    net = normalize(net)
     ids = net.ids
     payloads, held, rngs = [], [], []
     for node in ids:
@@ -338,9 +336,11 @@ class TestPropagate:
         result = propagate(net, chain_repo, PropagationConfig(max_steps=1000, energy_floor=0.5, seed=0))
         assert result.ticks < 1000
 
-    def test_unnormalized_rejected(self, chain_repo):
-        with pytest.raises(NotNormalizedError):
-            propagate(build_occurrence(chain_repo, "cite"), chain_repo, PropagationConfig())
+    def test_raw_network_walks_as_its_normalized_form(self, chain_repo):
+        # a raw network used to be rejected
+        raw = build_occurrence(chain_repo, "cite")
+        cfg = PropagationConfig(seed=3)
+        assert exact(propagate(raw, chain_repo, cfg)) == exact(propagate(normalize(raw), chain_repo, cfg))
 
     def test_total_store_energy_bound(self):
         repo = Repository(
@@ -388,6 +388,13 @@ class TestStoreSerialization:
         path = tmp_path / "store.tsv"
         path.write_text(f"A\tkey\tx\t0.5\nB\tkey\tx\t{energy}\n")
         with pytest.raises(ValueError, match=r"store\.tsv:2: energy must be"):
+            load_store(path)
+
+    @pytest.mark.parametrize("line, count", [("B\tkey\t0.5", 3), ("B\tkey\tx\t0.5\t1", 5)])
+    def test_wrong_field_count_rejected(self, tmp_path, line, count):
+        path = tmp_path / "store.tsv"
+        path.write_text(f"A\tkey\tx\t0.5\n{line}\n")
+        with pytest.raises(ValueError, match=rf"store\.tsv:2: expected 4 fields, got {count}$"):
             load_store(path)
 
     def test_zero_energy_accepted(self, tmp_path):
