@@ -6,8 +6,9 @@
 Every layer runs on ``two_cluster_corpus(N, seed=0)`` (made untimed) with the
 ``cokey`` relation, and each repeat runs each of its steps in a fresh process
 that reads its own peak RSS (``ru_maxrss``).  ``build`` times
-``build_cooccurrence`` and ``normalize``, reading the peak before, between and
-after them.  ``io`` times ``save_network`` in one process and ``load_network``
+``build_cooccurrence``, ``normalize`` and then ``pair_count`` with the raw
+network dropped, as ``build-network`` drops it, reading the peak before the
+first and after each.  ``io`` times ``save_network`` in one process and ``load_network``
 of that file in another.  ``grid`` times ``run_experiment`` (network build
 included) over the default densities and percentiles, ``jour`` as the target,
 2 runs each, one worker.  Prints one JSON object with the keys of the layer's
@@ -76,13 +77,18 @@ def _build(records: int) -> dict:
     raw, build_s = _timed(build_cooccurrence, repo, "key")
     build_peak = _peak_mib()
     net, normalize_s = _timed(normalize, raw)
+    normalize_peak = _peak_mib()
+    arrays_sha256 = _network_sha256("", net.ids, raw.indptr, raw.indices, raw.weights,
+                                    net.weights, net.cum)
+    del raw
+    pairs, pairs_s = _timed(lambda: net.pair_count)
     return {
-        "network": {"records": records, "relation": "cokey", "edges": net.edge_count},
-        "build_wall_s": build_s, "normalize_wall_s": normalize_s,
+        "network": {"records": records, "relation": "cokey", "edges": net.edge_count,
+                    "pairs": pairs},
+        "build_wall_s": build_s, "normalize_wall_s": normalize_s, "pairs_wall_s": pairs_s,
         "start_ru_maxrss_mib": start_peak, "build_ru_maxrss_mib": build_peak,
-        "normalize_ru_maxrss_mib": _peak_mib(),
-        "arrays_sha256": _network_sha256("", net.ids, raw.indptr, raw.indices, raw.weights,
-                                         net.weights, net.cum),
+        "normalize_ru_maxrss_mib": normalize_peak, "pairs_ru_maxrss_mib": _peak_mib(),
+        "arrays_sha256": arrays_sha256,
     }
 
 

@@ -126,9 +126,10 @@ def cmd_experiment(args) -> int:
     if args.landscape_dir:
         os.makedirs(args.landscape_dir, exist_ok=True)
     result = evalharness.run_experiment(repo, cfg, workers=args.workers)
-    evalharness.save_results(result.rows, args.output)
-    if args.landscape_dir:
-        evalharness.write_landscapes(result.rows, args.landscape_dir)
+    if result.rows:  # with none, an earlier results file at the path is kept
+        evalharness.save_results(result.rows, args.output)
+        if args.landscape_dir:
+            evalharness.write_landscapes(result.rows, args.landscape_dir)
     _print_pair_tables(evalharness.pair_summaries(result.rows))
     for e in result.errors:
         print(

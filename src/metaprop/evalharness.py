@@ -231,8 +231,7 @@ def _run_cell_once(
     n = len(net.ids)
     atrophied = np.zeros(n, dtype=bool)
     atrophied[_atrophy_pick(np.flatnonzero(target.holds).tolist(), 1.0 - density, rng)] = True
-    payload = (target.holds & ~atrophied, atrophied, target)
-    ((keys, _, totals),), _, _, _ = _walk(net, replace(prop_cfg, seed=seed), [payload])
+    ((keys, _, totals),), _, _, _ = _walk(net, replace(prop_cfg, seed=seed), [(atrophied, target)])
     n_values = len(target.names)
     truth_sizes = np.diff(target.value_ptr)
     truth_keys = np.repeat(np.arange(n) * n_values, truth_sizes) + target.value_ids

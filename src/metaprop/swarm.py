@@ -231,7 +231,7 @@ def propagate(
     holders = Counter(mu for rec in records for mu, values in rec.properties.items() if values)
     # a property every node holds has no metadata-poor node to deposit at
     tables = [(mu, numbered_values(records, mu)) for mu in sorted(holders) if holders[mu] < len(ids)]
-    payload = [(values.holds, ~values.holds, values) for _, values in tables]
+    payload = [(~values.holds, values) for _, values in tables]
     deposits, ticks, frozen, residual = _walk(net, cfg, payload)
     store = RecommendationStore()
     for (mu, values), totals in zip(tables, deposits):
@@ -242,10 +242,9 @@ def propagate(
 def _walk(net: AssociativeNetwork, cfg: PropagationConfig, payload: list):
     """The tick loop, over a normalized network with one particle per node,
     node i's seeded by ``derive_seed(cfg.seed, net.ids[i])``.  ``payload`` lists
-    each carried property as (carrier mask, receiver mask,
-    ``netbuild.NumberedValues``): a live particle whose home is a carrier
-    deposits its home's values at each receiver it reaches.  The two masks
-    must be disjoint.
+    each carried property as (receiver mask, ``netbuild.NumberedValues``): a
+    live particle whose home holds the property and is not a receiver carries
+    it, and deposits its home's values at each receiver it reaches.
 
     Returns each property's ``_deposit_totals``, keyed node * number of
     values + value number, then the ticks run, the frozen particles and the
@@ -253,6 +252,7 @@ def _walk(net: AssociativeNetwork, cfg: PropagationConfig, payload: list):
     """
     n = len(net.ids)
     deposits = [[] for _ in payload]
+    carriers = [values.holds & ~receiver for receiver, values in payload]
     keep = 1.0 - cfg.delta
     indptr, indices, cum = net.indptr, net.indices, net.cum
     rows = _draws(_node_seeds(net.ids, cfg.seed))
@@ -284,7 +284,7 @@ def _walk(net: AssociativeNetwork, cfg: PropagationConfig, payload: list):
         # min() keeps a draw above a row total that falls short of 1.0 on the row
         at = indices[np.minimum(base, hi - 1)]
         # carriers are never receivers, so a particle back home never deposits
-        for (carrier, receiver, values), ticks in zip(payload, deposits):
+        for carrier, (receiver, values), ticks in zip(carriers, payload, deposits):
             hit = np.flatnonzero(carrier[live] & receiver[at])
             if hit.size:
                 homes, value_ptr = live[hit], values.value_ptr

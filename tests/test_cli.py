@@ -86,6 +86,32 @@ class TestBuildNetwork:
         assert float.fromhex("0x1.0000000000000p-1") == 0.5
         assert "0x1.0000000000000p-1" in body
 
+    def test_summary_line(self, tmp_path, capsys):
+        # a <-> b is one pair, b -> c another; "ghost" names no resource
+        records = tmp_path / "records.jsonl"
+        lines = [
+            {"id": "a", "properties": {"cite": ["b"]}},
+            {"id": "b", "properties": {"cite": ["a", "c"]}},
+            {"id": "c", "properties": {"cite": ["ghost"]}},
+            {"id": "d", "properties": {}},
+        ]
+        records.write_text("".join(json.dumps(o) + "\n" for o in lines))
+        repo = tmp_path / "repo.jsonl"
+        assert main(["ingest", str(records), str(repo)]) == 0
+        capsys.readouterr()
+        assert main(["build-network", str(repo), "--relation", "cite",
+                     "--output", str(tmp_path / "net.tsv")]) == 0
+        assert capsys.readouterr().out == (
+            "relation=cite nodes=4 directed_edges=3 unordered_pairs=2 dangling=1 normalized=1\n"
+        )
+
+    def test_cooccurrence_pairs_are_half_the_edges(self, tmp_path, capsys):
+        assert main(["build-network", str(_corpus_file(tmp_path)), "--relation", "cokey",
+                     "--output", str(tmp_path / "net.tsv")]) == 0
+        fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+        assert int(fields["directed_edges"]) > 0
+        assert int(fields["unordered_pairs"]) * 2 == int(fields["directed_edges"])
+
     def test_unknown_relation_lists_valid_labels(self, repo_file, tmp_path, capsys):
         rc = main(["build-network", str(repo_file), "--relation", "nosuch",
                    "--output", str(tmp_path / "net.tsv")])
@@ -361,16 +387,20 @@ class TestExperiment:
 
     def test_all_cells_failed_is_an_error(self, tmp_path, capsys):
         results = tmp_path / "results.tsv"
+        results.write_bytes(b"an earlier run's results\n")
         rc = main(["experiment", str(_corpus_file(tmp_path)), "--relations", "nosuch",
                    "--properties", "jour", "--densities", "0.41", "--runs", "1", "--seed", "3",
                    "--output", str(results)])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err[1:] == ["1 cell failures recorded", "error: all cells failed"]
-        # the header alone is written; report rejects it
-        assert results.read_text() == evalharness.RESULTS_HEADER + "\n"
-        assert main(["report", str(results)]) == 1
-        assert capsys.readouterr() == ("", f"error: {results}: results file contains no rows\n")
+        # the earlier file is not truncated
+        assert results.read_bytes() == b"an earlier run's results\n"
+        # a file holding the header alone has no rows; report rejects it
+        header_only = tmp_path / "header_only.tsv"
+        header_only.write_text(evalharness.RESULTS_HEADER + "\n")
+        assert main(["report", str(header_only)]) == 1
+        assert capsys.readouterr() == ("", f"error: {header_only}: results file contains no rows\n")
 
     def test_grid_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(_DEFAULTS_ARGV["experiment"])

@@ -280,6 +280,10 @@ def test_pair_count_without_upward_edges():
     assert AssociativeNetwork(parse_relation("cite"), "ab", [0, 0, 0], [], []).pair_count == 0
 
 
+def test_pair_count_without_nodes():
+    assert AssociativeNetwork(parse_relation("cite"), "", [0], [], []).pair_count == 0
+
+
 class TestNormalize:
     def test_proportional_scaling(self):
         repo = Repository(

@@ -44,13 +44,17 @@ def _report(layer, capsys):
 def test_bench_build_runs(capsys):
     report = _report("build", capsys)
     assert set(report) == {
-        "network", "python", "build_wall_s", "normalize_wall_s", "start_ru_maxrss_mib",
-        "build_ru_maxrss_mib", "normalize_ru_maxrss_mib", "arrays_sha256",
+        "network", "python", "build_wall_s", "normalize_wall_s", "pairs_wall_s",
+        "start_ru_maxrss_mib", "build_ru_maxrss_mib", "normalize_ru_maxrss_mib",
+        "pairs_ru_maxrss_mib", "arrays_sha256",
     }
-    assert report["network"]["records"] == 300 and report["network"]["edges"] > 0
-    peaks = zip(*(report[f"{k}_ru_maxrss_mib"] for k in ("start", "build", "normalize")))
-    for start, build, after in peaks:
-        assert start <= build <= after
+    network = report["network"]
+    assert network["records"] == 300 and network["edges"] > 0
+    # a co-occurrence network joins each pair both ways
+    assert network["pairs"] * 2 == network["edges"]
+    peaks = zip(*(report[f"{k}_ru_maxrss_mib"] for k in ("start", "build", "normalize", "pairs")))
+    for start, build, normalized, pairs in peaks:
+        assert start <= build <= normalized <= pairs
 
 
 def test_bench_network_io_runs(capsys):
