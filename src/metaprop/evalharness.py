@@ -9,8 +9,10 @@ holders and values are numbered once per grid by ``netbuild.numbered_values``,
 atrophy is a mask over node numbers, one ``swarm._walk`` call carries only
 the target property from the nodes that keep it to the atrophied ones and
 sums its deposits, and every percentile's threshold is read from one sort
-of those sums.  Sums of floats run left to right,
-so results bytes do not depend on the Python version.
+of those sums.  That call walks only the particles of the nodes that keep
+the target whenever the energy floor cannot end the walk early (see
+``swarm._walk``), since no other particle can deposit it.  Sums of floats
+run left to right, so results bytes do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -226,12 +228,17 @@ def _run_cell_once(
     Equal to ``kill_meta``, then ``propagate`` and ``accept_meta`` at each
     rho, scored node by node: the walk carries only the target property,
     from the nodes that keep it to the atrophied ones, so it records
-    exactly the deposits that are scored, summed as the store sums them."""
+    exactly the deposits that are scored, summed as the store sums them.
+    It walks with ``carriers_only``: only the particles of the nodes that
+    keep the target walk, unless the energy floor could stop the walk, and
+    the walk's ticks, frozen count and residual energy go unread."""
     rng = random.Random(seed)
     n = len(net.ids)
     atrophied = np.zeros(n, dtype=bool)
     atrophied[_atrophy_pick(np.flatnonzero(target.holds).tolist(), 1.0 - density, rng)] = True
-    ((keys, _, totals),), _, _, _ = _walk(net, replace(prop_cfg, seed=seed), [(atrophied, target)])
+    ((keys, _, totals),), _, _, _ = _walk(
+        net, replace(prop_cfg, seed=seed), [(atrophied, target)], carriers_only=True
+    )
     n_values = len(target.names)
     truth_sizes = np.diff(target.value_ptr)
     truth_keys = np.repeat(np.arange(n) * n_values, truth_sizes) + target.value_ids

@@ -25,6 +25,11 @@ carry deposit.  The loop itself takes, per property, a mask of the nodes
 whose particles carry it and a mask of the nodes that receive it;
 ``propagate`` passes the holders and the rest, and the evaluation grid
 passes the nodes that keep a property and the ones it was removed from.
+``propagate`` walks every particle.  The grid passes ``carriers_only``:
+then only the particles that carry a property walk whenever the energy
+floor cannot stop a walk that still has a live particle (see ``_walk``),
+and the ticks, frozen count and residual energy, which the grid discards,
+count only the walked particles.
 Deposits are kept as (node, value) keys per tick and summed when the loop
 ends with ``np.add.at`` in event order, so each sum is the same float that
 adding the energies one by one gives, and each (node, property) entry
@@ -239,12 +244,34 @@ def propagate(
     return PropagationResult(store=store, ticks=ticks, frozen=frozen, residual_energy=residual)
 
 
-def _walk(net: AssociativeNetwork, cfg: PropagationConfig, payload: list):
+def _floor_never_stops(cfg: PropagationConfig) -> bool:
+    """Whether the energy floor can stop no walk that still has a live
+    particle: the walk's own ``energy *= 1 - delta`` chain, run to the last
+    tick's check, stays above the floor.  The chain never rises, and a left
+    to right sum of k >= 1 copies of an energy is at least that energy, so
+    the check's outcome then does not depend on how many particles live."""
+    keep = 1.0 - cfg.delta
+    energy = 1.0
+    for _ in range(cfg.max_steps - 1):
+        energy *= keep
+    return energy > cfg.energy_floor
+
+
+def _walk(
+    net: AssociativeNetwork, cfg: PropagationConfig, payload: list, carriers_only: bool = False
+):
     """The tick loop, over a normalized network with one particle per node,
     node i's seeded by ``derive_seed(cfg.seed, net.ids[i])``.  ``payload`` lists
     each carried property as (receiver mask, ``netbuild.NumberedValues``): a
     live particle whose home holds the property and is not a receiver carries
     it, and deposits its home's values at each receiver it reaches.
+
+    With ``carriers_only``, and when ``_floor_never_stops(cfg)``, only the
+    particles that carry some property walk.  Each particle draws from its
+    own substream and moves alone, and the floor then never stops a walk
+    with a live particle, so the deposits are those of the walk of every
+    particle; the ticks, frozen particles and residual energy count only
+    the walked particles.
 
     Returns each property's ``_deposit_totals``, keyed node * number of
     values + value number, then the ticks run, the frozen particles and the
@@ -255,8 +282,15 @@ def _walk(net: AssociativeNetwork, cfg: PropagationConfig, payload: list):
     carriers = [values.holds & ~receiver for receiver, values in payload]
     keep = 1.0 - cfg.delta
     indptr, indices, cum = net.indptr, net.indices, net.cum
-    rows = _draws(_node_seeds(net.ids, cfg.seed))
-    live = np.arange(n)  # homes of the non-frozen particles, ascending
+    # live: the homes of the non-frozen particles, ascending
+    if carriers_only and _floor_never_stops(cfg):
+        live = np.flatnonzero(np.any(carriers, axis=0))
+        rows = _draws(_node_seeds([net.ids[i] for i in live.tolist()], cfg.seed))
+    else:
+        live = np.arange(n)
+        rows = _draws(_node_seeds(net.ids, cfg.seed))
+    walkers = len(live)
+    pos = np.arange(walkers)  # each live particle's column in a row of draws
     at = live  # each live particle's current node
     energy = 1.0
     t = 0
@@ -270,8 +304,8 @@ def _walk(net: AssociativeNetwork, cfg: PropagationConfig, payload: list):
         lo, hi = indptr[at], indptr[at + 1]
         moves = lo < hi
         if not moves.all():  # dead ends: those particles freeze, drawing nothing
-            live, lo, hi = live[moves], lo[moves], hi[moves]
-        draws = row[live]
+            live, pos, lo, hi = live[moves], pos[moves], lo[moves], hi[moves]
+        draws = row[pos]
         # bisect_right over each row of cum: the first edge whose cumulative
         # weight exceeds the draw lies in [base, base + size]
         base, size = lo, hi - lo
@@ -296,7 +330,7 @@ def _walk(net: AssociativeNetwork, cfg: PropagationConfig, payload: list):
                 keys += values.value_ids[offsets]
                 ticks.append((keys, energy))
     totals = [_deposit_totals(ticks) for ticks in deposits]
-    return totals, t, n - len(live), _sequential_sum(np.full(len(live), energy))
+    return totals, t, walkers - len(live), _sequential_sum(np.full(len(live), energy))
 
 
 def _deposit_totals(ticks) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

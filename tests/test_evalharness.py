@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaprop import evalharness
+from metaprop import evalharness, swarm
 from metaprop.evalharness import (
     RESULTS_HEADER,
     ExperimentConfig,
@@ -375,7 +375,7 @@ class TestRunExperiment:
         assert {r.mu_y for r in load_results(paths[0])} == {"cite", "cokey"}
 
     def test_data_error_in_walk_becomes_cell_error(self, monkeypatch):
-        def walk(net, cfg, payload):
+        def walk(net, cfg, payload, carriers_only=False):
             raise ValueError("bad data")
 
         monkeypatch.setattr(evalharness, "_walk", walk)
@@ -384,7 +384,7 @@ class TestRunExperiment:
         assert [e.message for e in result.errors] == ["bad data", "bad data"]
 
     def test_program_bug_in_walk_raises(self, monkeypatch):
-        def walk(net, cfg, payload):
+        def walk(net, cfg, payload, carriers_only=False):
             raise TypeError("a bug")
 
         monkeypatch.setattr(evalharness, "_walk", walk)
@@ -582,6 +582,55 @@ class TestJobMatchesReference:
             args = (density, evalharness.DEFAULT_PERCENTILES, PropagationConfig(), seed)
             got = evalharness._run_cell_once(net, target, *args)
             assert exact(got) == exact(reference_run_cell_once(net, repo, "jour", *args))
+
+
+def partial_jour_repo():
+    """90 two-cluster records of which every third holds ``jour``."""
+    base = two_cluster_corpus(n_records=90, seed=2)
+    return Repository(
+        [rec if i % 3 == 0 else ResourceRecord(rec.id, {"key": rec.properties["key"]})
+         for i, rec in enumerate(base)]
+    )
+
+
+class TestJobWalksOnlyCarriers:
+    """A grid job seeds only the particles whose home keeps the target,
+    which no results byte shows: each call's count of seeded ids."""
+
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        counts = []
+        node_seeds = swarm._node_seeds
+
+        def counted(ids, seed):
+            ids = list(ids)
+            counts.append(len(ids))
+            return node_seeds(ids, seed)
+
+        monkeypatch.setattr(swarm, "_node_seeds", counted)
+        return counts
+
+    @pytest.mark.parametrize("density", [0.01, 0.41, 0.81])
+    def test_job_seeds_the_carriers(self, seeded, density):
+        repo = partial_jour_repo()
+        net = build_relation_network(repo, "cokey")
+        run_cell_once(net, repo, "jour", density, (0.0, 1.0), PropagationConfig(), 7)
+        _, outcome = kill_meta(repo, 1.0 - density, "jour", random.Random(7))
+        atrophied = np.isin(net.ids, sorted(outcome.atrophied_ids))
+        carriers = int((numbered_values(list(repo), "jour").holds & ~atrophied).sum())
+        assert seeded == [carriers]
+        assert 0 < carriers < 30  # fewer than the holders, a third of the nodes
+
+    def test_job_seeds_every_node_when_the_floor_can_stop(self, seeded):
+        repo = partial_jour_repo()
+        net = build_relation_network(repo, "cokey")
+        run_cell_once(net, repo, "jour", 0.41, (0.0, 1.0), PropagationConfig(energy_floor=0.5), 7)
+        assert seeded == [90]
+
+    def test_propagate_seeds_every_node(self, seeded):
+        repo = partial_jour_repo()
+        propagate(build_relation_network(repo, "cokey"), repo, PropagationConfig())
+        assert seeded == [90]
 
 
 class TestResultsIO:

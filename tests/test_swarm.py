@@ -5,15 +5,18 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from corpora import random_repository
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaprop import swarm
 from metaprop.netbuild import (
+    COOCCURRENCE,
     AssociativeNetwork,
     build_cooccurrence,
     build_occurrence,
     normalize,
+    numbered_values,
     parse_relation,
 )
 from metaprop.records import Repository, ResourceRecord, UnknownResourceError, make_record
@@ -22,7 +25,9 @@ from metaprop.swarm import (
     PropagationResult,
     RecommendationStore,
     _draws,
+    _floor_never_stops,
     _sequential_sum,
+    _walk,
     derive_seed,
     load_store,
     propagate,
@@ -544,6 +549,108 @@ class TestMatchesReference:
         repo = Repository([make_record(node, {"key": [node]}) for node in ids])
         cfg = PropagationConfig(seed=1)
         assert exact(propagate(net, repo, cfg)) == exact(reference_propagate(net, repo, cfg))
+
+
+@st.composite
+def carrier_cases(draw):
+    """A network (an occurrence one over citations, with dead ends, one over
+    keywords, whose targets are no ids and so all dead ends, or a
+    co-occurrence one), a payload of one or two properties with random
+    receivers, and a config that passes or fails the floor guard."""
+    label = draw(st.sampled_from(["cite", "key", "cokey", "coauth", "cojour"]))
+    repo = random_repository(
+        n_records=draw(st.integers(0, 40)),
+        property_types=("key", "auth", "jour"),
+        vocab_size=draw(st.sampled_from([5, 10, 30])),
+        cite_rate=0.08,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    relation = parse_relation(label)
+    build = build_cooccurrence if relation.kind == COOCCURRENCE else build_occurrence
+    net = normalize(build(repo, relation.mu))
+    records = list(repo)
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # picks the receivers
+    payload = []
+    properties = st.lists(st.sampled_from(["key", "auth", "jour", "none"]), min_size=1, max_size=2)
+    for mu in draw(properties):
+        values = numbered_values(records, mu)
+        share = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))  # 1.0: no carriers
+        payload.append((np.array([rnd.random() < share for _ in records], dtype=bool), values))
+    delta = draw(st.sampled_from([0.0, 0.15, 0.5, 0.9, 0.999, 1.0]) | st.floats(0.0, 1.0))
+    max_steps = draw(st.integers(1, 60))
+    floor = draw(
+        st.sampled_from([0.0, 1e-4, 0.5, 1.0, 50.0, geometric(delta, max_steps - 1)])
+        | st.floats(0.0, 50.0)
+    )
+    seed = draw(st.integers(0, 2**64 - 1))
+    cfg = PropagationConfig(delta=delta, max_steps=max_steps, energy_floor=floor, seed=seed)
+    return net, cfg, payload
+
+
+def walk_bytes(net, cfg, payload, carriers_only):
+    """Each property's deposit keys, first events and totals as (dtype,
+    shape, bytes), so equal means equal in value and dtype, bit for bit."""
+    totals, _, _, _ = _walk(net, cfg, payload, carriers_only=carriers_only)
+    return [[(a.dtype, a.shape, a.tobytes()) for a in arrays] for arrays in totals]
+
+
+class TestCarriersOnly:
+    """The walk of the carrying particles alone against the walk of all."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(carrier_cases())
+    def test_deposits_equal_the_full_walk(self, case):
+        net, cfg, payload = case
+        assert walk_bytes(net, cfg, payload, True) == walk_bytes(net, cfg, payload, False)
+
+    @pytest.mark.parametrize(
+        "cfg,passes",
+        [
+            (PropagationConfig(), True),  # 0.85^49 ~ 3.5e-4 > 1e-4
+            (PropagationConfig(max_steps=30), True),
+            (PropagationConfig(max_steps=1, energy_floor=0.5), True),
+            (PropagationConfig(max_steps=1, energy_floor=1.0), False),
+            (PropagationConfig(max_steps=1, energy_floor=50.0), False),
+            (PropagationConfig(energy_floor=0.5), False),
+            (PropagationConfig(delta=0.999), False),
+            (PropagationConfig(delta=1.0, max_steps=2, energy_floor=0.0), False),
+            (PropagationConfig(delta=0.0, energy_floor=0.999), True),
+            # the floor at the last checked energy itself: the check stops there
+            (PropagationConfig(energy_floor=geometric(0.15, 49)), False),
+            (PropagationConfig(energy_floor=math.nextafter(geometric(0.15, 49), 0.0)), True),
+        ],
+    )
+    def test_floor_guard(self, cfg, passes):
+        assert _floor_never_stops(cfg) is passes
+
+    def test_floor_at_the_last_checked_energy(self):
+        # A -> B -> C -> A, and only A holds a key: its particle deposits at
+        # B on tick 1 and at C on tick 2.  The floor equals the energy read
+        # before tick 2, which stops a walk of A's particle alone there, but
+        # not the walk of all three, whose summed energy is above it
+        repo = Repository(
+            [make_record("A", {"cite": ["B"], "key": ["x"]}),
+             make_record("B", {"cite": ["C"]}), make_record("C", {"cite": ["A"]})]
+        )
+        net = normalize(build_occurrence(repo, "cite"))
+        values = numbered_values(list(repo), "key")
+        payload = [(~values.holds, values)]
+        cfg = PropagationConfig(max_steps=2, energy_floor=geometric(0.15, 1))
+        got = walk_bytes(net, cfg, payload, True)
+        assert got == walk_bytes(net, cfg, payload, False)
+        assert got[0][0][1] == (2,)  # deposits at B and at C
+
+    @pytest.mark.parametrize(
+        "cfg", [PropagationConfig(seed=4), PropagationConfig(energy_floor=0.5, seed=4)]
+    )
+    def test_empty_carrier_set(self, cfg):
+        repo = random_repository(30, seed=4)
+        net = normalize(build_cooccurrence(repo, "key"))
+        values = numbered_values(list(repo), "auth")
+        payload = [(np.ones(len(net.ids), dtype=bool), values)]  # every node receives
+        got = walk_bytes(net, cfg, payload, True)
+        assert got == walk_bytes(net, cfg, payload, False)
+        assert [shape for (_, shape, _) in got[0]] == [(0,)] * 3
 
 
 # seeds that derive_seed can return: 64-bit ones, one-word keys below 2**32
