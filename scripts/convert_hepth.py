@@ -17,17 +17,21 @@ Keywords are NOT recoverable from the public files.  No consolidation or
 hand-cleaning is applied, so downstream edge counts will differ from any
 results produced from the private derivative.
 
+The records are built and written with ``metaprop.records``, so metaprop
+must be importable (installed, or ``src`` on PYTHONPATH).
+
 Usage:
     python scripts/convert_hepth.py --abstracts hep-th-abs/ \\
         --citations hep-th-citations --output hepth-records.jsonl
 """
 
 import argparse
-import json
 import os
 import re
 import sys
 from collections import defaultdict
+
+from metaprop.records import Repository, make_record, save_repository
 
 MONTHS = {m: i + 1 for i, m in enumerate(
     ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
@@ -50,8 +54,6 @@ def parse_abstract(text):
     m = re.search(r"^Date:\s*(.+)$", text, re.MULTILINE)
     if m:
         ym = re.search(r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)\w*\s+(\d{4})", m.group(1))
-        if not ym:
-            ym = None
         year = re.search(r"(19|20)\d{2}", m.group(1))
         if year:
             month = ym.group(1) if ym else None
@@ -111,10 +113,7 @@ def main(argv=None) -> int:
                 records[src]["cite"].add(dst)
                 n_cites += 1
 
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for rid in sorted(records):
-            props = {mu: sorted(vals) for mu, vals in sorted(records[rid].items()) if vals}
-            fh.write(json.dumps({"id": rid, "properties": props}, sort_keys=True) + "\n")
+    save_repository(Repository(make_record(rid, props) for rid, props in records.items()), args.output)
     print(f"{len(records)} records, {n_cites} citation links -> {args.output}")
     return 0
 

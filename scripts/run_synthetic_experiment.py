@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Run the full pipeline on a synthetic two-cluster corpus.
 
-Generates a corpus, runs the atrophy/recover grid for journal and author
-propagation over co-keyword and co-author networks, and prints the max/mean
-F-score tables plus one density x percentile landscape per pair.
+Generates a corpus, runs ``metaprop experiment`` on it, the atrophy/recover
+grid for journal and author propagation over co-keyword and co-author
+networks, then ``metaprop report``, which prints the max/mean F-score tables
+plus one density x percentile landscape per pair.
 """
 
 import argparse
+import os
 import sys
+import tempfile
 
-from metaprop import cli
-from metaprop.evalharness import ExperimentConfig, run_experiment, save_results, write_landscapes
-from metaprop.swarm import PropagationConfig
+from metaprop import cli, records
+from metaprop.evalharness import load_results
 from metaprop.synthetic import two_cluster_corpus
 
 
@@ -25,22 +27,20 @@ def main(argv=None) -> int:
     parser.add_argument("--landscape-dir", default=None)
     args = parser.parse_args(argv)
 
-    repo = two_cluster_corpus(n_records=args.records, seed=args.seed)
-    cfg = ExperimentConfig(
-        network_relations=("cokey", "coauth"),
-        target_properties=("jour", "auth"),
-        runs=args.runs,
-        propagation=PropagationConfig(max_steps=30),
-        master_seed=args.seed,
-    )
-    result = run_experiment(repo, cfg, workers=args.workers)
-    save_results(result.rows, args.output)
-    if args.landscape_dir:
-        write_landscapes(result.rows, args.landscape_dir)
-
-    print(f"{args.records} records, {len(result.rows)} grid cells -> {args.output}\n")
-    for e in result.errors:
-        print(f"cell error: {e}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = os.path.join(tmp, "corpus.jsonl")
+        records.save_repository(two_cluster_corpus(n_records=args.records, seed=args.seed), corpus)
+        experiment = [
+            "experiment", corpus, "--relations", "cokey,coauth", "--properties", "jour,auth",
+            "--runs", str(args.runs), "--max-steps", "30", "--seed", str(args.seed),
+            "--workers", str(args.workers), "--output", args.output,
+        ]
+        if args.landscape_dir:
+            experiment += ["--landscape-dir", args.landscape_dir]
+        status = cli.main(experiment)
+    if status:
+        return status
+    print(f"\n{args.records} records, {len(load_results(args.output))} grid cells -> {args.output}\n")
     return cli.main(["report", args.output])
 
 

@@ -21,10 +21,10 @@ its last tick.
 A tick works on arrays of the live particles: their draws are one row
 from the generator, one vectorized bisection over ``net.cum`` finds every
 move, and only the particles that reach a node missing a property they
-carry deposit.  The loop itself takes, per property, a mask of the nodes
-whose particles carry it and a mask of the nodes that receive it;
-``propagate`` passes the holders and the rest, and the evaluation grid
-passes the nodes that keep a property and the ones it was removed from.
+carry deposit.  The loop itself takes, per property, the mask of the nodes
+that receive it and derives the carriers: the holders that are not
+receivers.  ``propagate`` passes the nodes that hold no value, and the
+evaluation grid the nodes the property was removed from.
 ``propagate`` walks every particle.  The grid passes ``carriers_only``:
 then only the particles that carry a property walk whenever the energy
 floor cannot stop a walk that still has a live particle (see ``_walk``),
@@ -132,14 +132,9 @@ _N, _M = 624, 397
 _UPPER, _LOWER, _MATRIX_A = 0x80000000, 0x7FFFFFFF, 0x9908B0DF
 
 
-def _init_genrand(s: int) -> np.ndarray:
-    mt = [s]
-    for i in range(1, _N):
-        mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xFFFFFFFF)
-    return np.array(mt, dtype=np.uint32)
-
-
-_INIT_BY_ARRAY_START = _init_genrand(19650218)  # the same for every key
+# init_by_array starts from init_genrand(19650218), the same for every key;
+# numpy seeds its legacy generator from an int seed with init_genrand
+_INIT_BY_ARRAY_START = np.random.RandomState(19650218).get_state()[1]
 
 
 def _seed_states(seeds: np.ndarray) -> np.ndarray:
@@ -277,7 +272,6 @@ def _walk(
     values + value number, then the ticks run, the frozen particles and the
     live particles' summed energy.
     """
-    n = len(net.ids)
     deposits = [[] for _ in payload]
     carriers = [values.holds & ~receiver for receiver, values in payload]
     keep = 1.0 - cfg.delta
@@ -285,10 +279,9 @@ def _walk(
     # live: the homes of the non-frozen particles, ascending
     if carriers_only and _floor_never_stops(cfg):
         live = np.flatnonzero(np.any(carriers, axis=0))
-        rows = _draws(_node_seeds([net.ids[i] for i in live.tolist()], cfg.seed))
     else:
-        live = np.arange(n)
-        rows = _draws(_node_seeds(net.ids, cfg.seed))
+        live = np.arange(len(net.ids))
+    rows = _draws(_node_seeds([net.ids[i] for i in live.tolist()], cfg.seed))
     walkers = len(live)
     pos = np.arange(walkers)  # each live particle's column in a row of draws
     at = live  # each live particle's current node

@@ -417,6 +417,29 @@ class TestExperiment:
                      "--landscape-dir", str(land)]) == 0
         assert (land / "cokey__jour.tsv").exists()
 
+    def test_landscape_names_escape_a_slash_and_a_percent(self, tmp_path, capsys):
+        # a property type may hold "/", which used to fail the landscape
+        # write after the grid had run; "%" is escaped too, so "dc/subject"
+        # and "dc%2Fsubject" name two files
+        corpus = tmp_path / "dc.jsonl"
+        lines = [
+            {"id": f"r{i:02d}", "properties": {
+                "dc/subject": [f"s{i % 3}"], "dc%2Fsubject": [f"t{i % 4}"], "jour": [f"j{i % 2}"]}}
+            for i in range(12)
+        ]
+        corpus.write_text("".join(json.dumps(o) + "\n" for o in lines))
+        results, land = tmp_path / "r.tsv", tmp_path / "land"
+        assert main(["experiment", str(corpus), "--relations", "co:dc/subject,co:dc%2Fsubject",
+                     "--properties", "jour", "--runs", "1", "--seed", "3", "--densities", "0.41",
+                     "--output", str(results), "--landscape-dir", str(land)]) == 0
+        out = capsys.readouterr().out
+        assert "co:dc/subject/jour\t" in out and "co:dc%2Fsubject/jour\t" in out
+        rows = evalharness.load_results(results)
+        assert {p.name: p.read_text() for p in land.iterdir()} == {
+            "co:dc%2Fsubject__jour.tsv": evalharness.landscape_text(rows, "co:dc/subject", "jour"),
+            "co:dc%252Fsubject__jour.tsv": evalharness.landscape_text(rows, "co:dc%2Fsubject", "jour"),
+        }
+
 
 def assert_one_error(capsys, argv, reason):
     capsys.readouterr()

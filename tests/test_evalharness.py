@@ -662,6 +662,15 @@ class TestResultsIO:
         with pytest.raises(ValueError, match=rf"results\.tsv:2: expected 11 fields, got {count}$"):
             load_results(path)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        rows = ["cokey jour 0.61 0.0 0.5 0.5 0.5 2 10 0 0.5", "cokey jour 0.61 1.0 1.0 0.25 0.4 2 10 0 0.5"]
+        lines = [RESULTS_HEADER] + ["\t".join(r.split()) for r in rows]
+        plain, blank = tmp_path / "plain.tsv", tmp_path / "blank.tsv"
+        plain.write_text("\n".join(lines) + "\n")
+        blank.write_text("\n\n".join(lines) + "\n\n")
+        assert load_results(blank) == load_results(plain)
+        assert len(load_results(plain)) == 2
+
     @pytest.mark.parametrize("flag", ["7", "", "true", "-1"])
     def test_anomalous_flag_must_be_0_or_1(self, tmp_path, flag):
         fields = "cokey jour 0.61 0.0 0.5 0.5 0.5 2 10 0 0.5".split()

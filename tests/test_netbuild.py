@@ -528,6 +528,22 @@ class TestSerialization:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert load_network(path) == net
 
+    def test_file_without_a_final_newline_loads(self, chain_repo, tmp_path):
+        net = normalize(build_occurrence(chain_repo, "cite"))
+        path = tmp_path / "net.tsv"
+        save_network(net, path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert load_network(path) == net
+
+    @pytest.mark.parametrize("chars", [1, 7, 33, 100])
+    def test_lines_longer_than_a_read_block(self, table1_repo, tmp_path, monkeypatch, chars):
+        # a block that holds no whole line is carried into the next read
+        net = normalize(build_cooccurrence(table1_repo, "key"))
+        path = tmp_path / "net.tsv"
+        save_network(net, path)
+        monkeypatch.setattr(netbuild, "_READ_CHARS", chars)
+        assert load_network(path) == net
+
 
 @pytest.fixture(scope="module")
 def big_network_file(tmp_path_factory):

@@ -29,6 +29,11 @@ class TestIngest:
         with pytest.raises(RecordError, match="line 2.*duplicate"):
             ingest(_lines({"id": "m1"}, {"id": "m1"}))
 
+    def test_repository_rejects_a_duplicate_id(self):
+        rec = make_record("m1", {"key": ["a"]})
+        with pytest.raises(ValueError, match="duplicate resource id: 'm1'"):
+            Repository([rec, rec])
+
     def test_values_deduplicated(self):
         repo = ingest(_lines({"id": "m1", "properties": {"key": ["swarm", "swarm"]}}))
         assert repo.meta("m1", "key") == {"swarm"}

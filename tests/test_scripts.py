@@ -4,9 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from metaprop import cli, evalharness
 from metaprop.evalharness import load_results
+from metaprop.records import save_repository
+from metaprop.synthetic import two_cluster_corpus
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _script_main(name):
+    return runpy.run_path(str(SCRIPTS / name))["main"]
 
 
 def test_synthetic_experiment_runs(tmp_path, capsys):
@@ -18,6 +25,91 @@ def test_synthetic_experiment_runs(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert f"60 records, 220 grid cells -> {output}" in out
     assert err == ""  # no cell errors
+
+
+def test_synthetic_experiment_writes_what_the_cli_writes(tmp_path, capsys):
+    demo, land = tmp_path / "demo.tsv", tmp_path / "land"
+    argv = ["--records", "40", "--runs", "2", "--seed", "3", "--output", str(demo),
+            "--landscape-dir", str(land)]
+    assert _script_main("run_synthetic_experiment.py")(argv) == 0
+    corpus, direct = tmp_path / "corpus.jsonl", tmp_path / "direct.tsv"
+    save_repository(two_cluster_corpus(n_records=40, seed=3), corpus)
+    assert cli.main(["experiment", str(corpus), "--relations", "cokey,coauth",
+                     "--properties", "jour,auth", "--runs", "2", "--max-steps", "30",
+                     "--seed", "3", "--output", str(direct)]) == 0
+    assert demo.read_bytes() == direct.read_bytes()
+    assert sorted(p.name for p in land.iterdir()) == [
+        "coauth__auth.tsv", "coauth__jour.tsv", "cokey__auth.tsv", "cokey__jour.tsv"
+    ]
+    out = capsys.readouterr().out
+    # the experiment's pair table, the banner, then the report's tables
+    assert out.count("pair\tmax_fscore") == 3 and out.count("F-score landscape") == 4
+
+
+def test_synthetic_experiment_output_in_a_missing_directory(tmp_path, capsys, monkeypatch):
+    def grid(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(evalharness, "run_experiment", grid)
+    output = tmp_path / "missing" / "results.tsv"
+    assert _script_main("run_synthetic_experiment.py")(["--records", "40", "--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
+HEPTH_ABSTRACTS = {
+    "1992/9201001.abs": """\\
+Paper: hep-th/9201001
+From: Alice Smith <alice@Phys.Uni.EDU>
+Date: Wed, 1 Jan 1992 12:00:00 GMT   (10kb)
+
+Title: Strings on a lattice
+Authors: Alice Smith, Bob Jones (Uni) and Carol White
+Comments: 10 pages
+Journal-ref: Nucl.Phys. B380 (1992) 1-20
+\\
+  An abstract.
+\\
+""",
+    "1993/9301002.abs": """\\
+Paper: 9301002
+From: bob@lab.org
+Date: 1993
+
+Title: Branes
+Author: Bob Jones
+\\
+  Another abstract.
+\\
+""",
+}
+
+# what the converter wrote when it had its own JSON writer
+HEPTH_RECORDS = (
+    b'{"id": "9201001", "properties": {"auth": ["Alice Smith", "Bob Jones", "Carol White"], '
+    b'"cite": ["9301002"], "date": ["1992-01"], "jour": ["Nucl.Phys. B"], '
+    b'"org": ["phys.uni.edu"]}}\n'
+    b'{"id": "9301002", "properties": {"auth": ["Bob Jones"], "cite": ["9201001"], '
+    b'"date": ["1993"], "org": ["lab.org"]}}\n'
+)
+
+
+def test_convert_hepth(tmp_path, capsys):
+    for name, text in HEPTH_ABSTRACTS.items():
+        path = tmp_path / "abs" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    citations = tmp_path / "citations"
+    # the malformed line is skipped, and so is a citing paper with no abstract
+    citations.write_text("9201001 9301002\n9301002 9201001\nnot a citation line\n9999999 9201001\n")
+    output = tmp_path / "records.jsonl"
+    argv = ["--abstracts", str(tmp_path / "abs"), "--citations", str(citations), "--output", str(output)]
+    assert _script_main("convert_hepth.py")(argv) == 0
+    assert capsys.readouterr().out == f"2 records, 2 citation links -> {output}\n"
+    assert output.read_bytes() == HEPTH_RECORDS
+    assert cli.main(["ingest", str(output), str(tmp_path / "repo.jsonl")]) == 0
+    assert capsys.readouterr().out == "2 records, 5 property types\n"
 
 
 # toy size: two processes per step

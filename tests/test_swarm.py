@@ -2,6 +2,7 @@ import bisect
 import math
 import random
 from itertools import islice
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -402,6 +403,11 @@ class TestStoreSerialization:
         with pytest.raises(ValueError, match=rf"store\.tsv:2: expected 4 fields, got {count}$"):
             load_store(path)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "store.tsv"
+        path.write_text("\nA\tkey\tx\t0.5\n\nA\tkey\ty\t0.25\n\n")
+        assert load_store(path).entry("A", "key") == {"x": 0.5, "y": 0.25}
+
     def test_zero_energy_accepted(self, tmp_path):
         path = tmp_path / "store.tsv"
         path.write_text("A\tkey\tx\t0\n")
@@ -651,6 +657,115 @@ class TestCarriersOnly:
         got = walk_bytes(net, cfg, payload, True)
         assert got == walk_bytes(net, cfg, payload, False)
         assert [shape for (_, shape, _) in got[0]] == [(0,)] * 3
+
+
+def oracle_base():
+    """A raw directed network over 12 nodes as rows of (target, weight):
+    nodes 0 and 7 are dead ends, and every other node has 2 to 4 out-edges
+    of weight 1 to 4, so no walk is certain.  Also each node's ``tag``
+    values, none for some nodes."""
+    rnd = random.Random(11)
+    n = 12
+    rows = []
+    for i in range(n):
+        targets = [] if i in (0, 7) else rnd.sample([j for j in range(n) if j != i], rnd.randint(2, 4))
+        rows.append([(j, float(rnd.randint(1, 4))) for j in sorted(targets)])
+    tags = [sorted(rnd.sample("abcd", rnd.choice([0, 1, 1, 2]))) for _ in range(n)]
+    return rows, tags
+
+
+def stacked(rows, tags, copies):
+    """``copies`` disjoint copies of a base network and its records: node i
+    of copy c is ``c{c:04d}n{i:02d}``, node c * n + i of the stack, so each
+    copy's particles walk it alone, on substreams of their own."""
+    ids, indptr, indices, weights, records = [], [0], [], [], []
+    for c in range(copies):
+        for i, row in enumerate(rows):
+            ids.append(f"c{c:04d}n{i:02d}")
+            indices += [c * len(rows) + j for j, _ in row]
+            weights += [w for _, w in row]
+            indptr.append(len(indices))
+            records.append(make_record(ids[-1], {"tag": tags[i]}))
+    return AssociativeNetwork(parse_relation("cite"), ids, indptr, indices, weights), records
+
+
+def expected_deposits(rows, carries, receiver, cfg):
+    """Each (node, value) cell's expected deposit in one walk of a base
+    network, and its variance, in closed form for a walk that the energy
+    floor never stops: with P the normalized network (dead-end rows zero,
+    so a frozen particle drops out) and C the carrier x value incidence,
+    E = sum over t = 1..T of (1 - delta)^t (P^T)^t C, masked to the receivers.
+
+    Particle h deposits at node j the energy Y_hj = sum over t of e_t
+    [X_t = j].  The walk is a Markov chain, so it is at j at ticks t and
+    t + k with chance P^t[h, j] P^k[j, j], which gives E[Y_hj^2]; particles
+    move independently, so a cell's variance is the sum of its carriers'."""
+    n = len(rows)
+    P = np.zeros((n, n))
+    for i, row in enumerate(rows):
+        total = np.sum([w for _, w in row])
+        for j, w in row:
+            P[i, j] = w / total
+    T = cfg.max_steps
+    e = np.array([geometric(cfg.delta, t) for t in range(T + 1)])  # e[0] is unused
+    powers = [np.eye(n)]
+    for _ in range(T):
+        powers.append(powers[-1] @ P)
+    returns = np.array([np.diag(p) for p in powers])  # returns[k][j] = P^k[j, j]
+    mean, square = np.zeros((n, n)), np.zeros((n, n))
+    for t in range(1, T + 1):
+        later = np.sum([e[t + k] * returns[k] for k in range(1, T - t + 1)], axis=0)
+        mean += e[t] * powers[t]
+        square += e[t] * powers[t] * (e[t] + 2 * later)
+    C = carries.astype(float)
+    mask = receiver[:, None]
+    return mask * (mean.T @ C), mask * ((square - mean * mean).T @ C)
+
+
+ORACLE_COPIES = 5000  # independent walks of the base network
+ORACLE_ALPHA = 1e-3  # family-wise chance that a correct walk fails the check
+
+
+class TestClosedFormOracle:
+    """The walk's mean deposits over many independent walks of one network
+    against their closed form.  ``reference_propagate`` shares the walk's
+    design (the bisection over ``cum``, the substreams, the tick order);
+    this oracle shares none of it, only the model: move by P, decay, deposit
+    at a receiver."""
+
+    @pytest.mark.parametrize("walker", ["propagate", "carriers_only"])
+    def test_mean_deposits(self, walker):
+        rows, tags = oracle_base()
+        names = sorted(set().union(*tags))
+        holds = np.array([bool(t) for t in tags])
+        if walker == "propagate":
+            receiver = ~holds
+        else:  # every other holder receives too
+            receiver = ~holds | (holds & (np.cumsum(holds) % 2 == 0))
+        carries = np.array([[x in t for x in names] for t in tags]) & (holds & ~receiver)[:, None]
+        cfg = PropagationConfig(seed=1)
+        assert _floor_never_stops(cfg)
+        expected, variance = expected_deposits(rows, carries, receiver, cfg)
+        cells = expected > 0
+        # Bonferroni over the cells, each mean normal by the CLT
+        bound = NormalDist().inv_cdf(1 - ORACLE_ALPHA / (2 * cells.sum()))
+
+        net, records = stacked(rows, tags, ORACLE_COPIES)
+        got = np.zeros((ORACLE_COPIES, len(rows), len(names)))
+        if walker == "propagate":
+            for (node, _), values in propagate(net, Repository(records), cfg).store.entries():
+                c, i = int(node[1:5]), int(node[6:])
+                for x, energy in values.items():
+                    got[c, i, names.index(x)] = energy
+        else:
+            values = numbered_values(records, "tag")
+            payload = [(np.tile(receiver, ORACLE_COPIES), values)]
+            ((keys, _, totals),), _, _, _ = _walk(normalize(net), cfg, payload, carriers_only=True)
+            got.reshape(-1)[keys] = totals
+
+        assert not got[:, ~cells].any(), "a deposit where the closed form expects none"
+        z = (got.mean(axis=0)[cells] - expected[cells]) / np.sqrt(variance[cells] / ORACLE_COPIES)
+        assert np.abs(z).max() <= bound, (z.round(2).tolist(), bound)
 
 
 # seeds that derive_seed can return: 64-bit ones, one-word keys below 2**32
