@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Time one layer of the pipeline on the co-keyword network of the two-cluster corpus.
 
-    PYTHONPATH=src python scripts/bench.py {build,io,grid} [--records 5000] [--repeat 3]
+    PYTHONPATH=src python scripts/bench.py {ingest,build,io,grid} [--records 5000] [--repeat 3]
 
 Every layer runs on ``two_cluster_corpus(N, seed=0)`` (made untimed) with the
 ``cokey`` relation, and each repeat runs each of its steps in a fresh process
-that reads its own peak RSS (``ru_maxrss``).  ``build`` times
+that reads its own peak RSS (``ru_maxrss``).  ``ingest`` times
+``save_repository`` of the corpus in one process and ``load_repository`` of
+that record file in another, which writes what it loaded back out, untimed,
+so that both processes report the digest of the same bytes.  ``build`` times
 ``build_cooccurrence``, ``normalize`` and then ``pair_count`` with the raw
 network dropped, as ``build-network`` drops it, reading the peak before the
 first and after each.  ``io`` times ``save_network`` in one process and ``load_network``
@@ -34,6 +37,7 @@ import time
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # each child runs in the run's temporary directory, so these names are its files
 NETWORK, RESULTS = "network.tsv", "results.tsv"
+RECORDS, RESAVED = "records.jsonl", "resaved.jsonl"
 
 
 def _peak_mib() -> float:
@@ -66,6 +70,27 @@ def _saved_sha256(net) -> str:
     # what a network file holds, so a saved and a loaded network compare equal
     header = f"{net.relation.label}\t{int(net.normalized)}\t{net.dangling}\n"
     return _network_sha256(header, net.ids, net.indptr, net.indices, net.weights)
+
+
+def _save_records(records: int) -> dict:
+    from metaprop.records import save_repository
+    from metaprop.synthetic import two_cluster_corpus
+
+    repo = two_cluster_corpus(records, seed=0)
+    _, wall = _timed(save_repository, repo, RECORDS)
+    return {
+        "corpus": {"records": records, "file_mib": round(os.path.getsize(RECORDS) / 2**20, 2)},
+        "save_wall_s": wall, "save_ru_maxrss_mib": _peak_mib(), "file_sha256": _file_sha256(RECORDS),
+    }
+
+
+def _load_records(records: int) -> dict:
+    from metaprop.records import load_repository, save_repository
+
+    repo, wall = _timed(load_repository, RECORDS)
+    peak = _peak_mib()
+    save_repository(repo, RESAVED)
+    return {"load_wall_s": wall, "load_ru_maxrss_mib": peak, "file_sha256": _file_sha256(RESAVED)}
 
 
 def _build(records: int) -> dict:
@@ -130,8 +155,14 @@ def _grid(records: int) -> dict:
     }
 
 
-STEPS = {"build": _build, "save": _save, "load": _load, "grid": _grid}
-LAYERS = {"build": ("build",), "io": ("save", "load"), "grid": ("grid",)}
+STEPS = {
+    "save_records": _save_records, "load_records": _load_records,
+    "build": _build, "save": _save, "load": _load, "grid": _grid,
+}
+LAYERS = {
+    "ingest": ("save_records", "load_records"), "build": ("build",), "io": ("save", "load"),
+    "grid": ("grid",),
+}
 
 
 def _child(argv, cwd: str) -> dict:

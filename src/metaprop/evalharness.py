@@ -507,16 +507,19 @@ def landscape_text(rows: Sequence[MetricsRow], mu_y: str, mu_x: str) -> str:
 
 def write_landscapes(rows: Sequence[MetricsRow], directory) -> List[str]:
     """Write one landscape matrix file per (mu_y, mu_x) pair, named
-    ``MU_Y__MU_X.tsv`` with "%" written "%25" and "/" written "%2F", since a
-    label may hold a "/"; returns paths."""
+    ``MU_Y__MU_X.tsv`` with "%" written "%25", "/" written "%2F" and "_"
+    written "%5F" in each part, since a label may hold a "/" and a part with
+    no "_" keeps the "__" joint unambiguous; returns paths."""
     import os
+
+    def part(text: str) -> str:
+        return text.replace("%", "%25").replace("/", "%2F").replace("_", "%5F")
 
     os.makedirs(directory, exist_ok=True)
     paths = []
     pairs = sorted({(r.mu_y, r.mu_x) for r in rows})
     for mu_y, mu_x in pairs:
-        name = f"{mu_y}__{mu_x}".replace("%", "%25").replace("/", "%2F")
-        path = os.path.join(directory, f"{name}.tsv")
+        path = os.path.join(directory, f"{part(mu_y)}__{part(mu_x)}.tsv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(landscape_text(rows, mu_y, mu_x))
         paths.append(path)

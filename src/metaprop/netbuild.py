@@ -125,8 +125,8 @@ def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     cum = np.empty_like(weights)
     bounds = indptr.tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo < hi:
-            np.cumsum(weights[lo:hi], out=cum[lo:hi])
+        if lo < hi:  # np.cumsum is this call behind a Python wrapper, paid once a row
+            np.add.accumulate(weights[lo:hi], out=cum[lo:hi])
     return cum
 
 
@@ -393,8 +393,9 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
 
     One pass over the rows makes the weights and the walk's running sums:
     a row's running sum of its raw weights ends in its total, and one of its
-    normalized weights is its ``cum``.  The ids and CSR structure were
-    checked when ``net`` was made, so only the new weights are checked.
+    normalized weights is its ``cum``.  Row by row, a row's three steps reuse
+    it while it is in cache.  The ids and CSR structure were checked when
+    ``net`` was made, so only the new weights are checked.
     """
     if net.normalized:
         return net
@@ -404,13 +405,13 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     with np.errstate(over="ignore"):  # an overflowing row is reported by name
         for node, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             if lo < hi:
-                row_cum = cum[lo:hi]
-                np.cumsum(raw[lo:hi], out=row_cum)
+                row_cum, row = cum[lo:hi], weights[lo:hi]
+                np.add.accumulate(raw[lo:hi], out=row_cum)
                 total = row_cum[-1]
                 if total == np.inf:
                     raise ValueError(f"out-weights of {net.ids[node]!r} sum past the largest float")
-                np.divide(raw[lo:hi], total, out=weights[lo:hi])
-                np.cumsum(weights[lo:hi], out=row_cum)
+                np.divide(raw[lo:hi], total, out=row)
+                np.add.accumulate(row, out=row_cum)
     if len(weights) and weights.min() == 0.0:  # an underflow: w / total is never negative
         raise ValueError(f"non-positive weight on {net._edge(int(np.argmin(weights)))}")
     out = copy.copy(net)
@@ -680,6 +681,17 @@ def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
     return ids, srcs, dsts, weights
 
 
+def _ascending(src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether the edges (src[k], dst[k]) strictly ascend, checked in blocks
+    so that no full-length temporary is made."""
+    for lo in range(0, len(src) - 1, _BLOCK_ENTRIES):
+        hi = min(lo + _BLOCK_ENTRIES + 1, len(src))  # blocks overlap by one edge
+        rise = np.diff(src[lo:hi])
+        if (rise < 0).any() or ((rise == 0) & (np.diff(dst[lo:hi]) <= 0)).any():
+            return False
+    return True
+
+
 def load_network(source) -> AssociativeNetwork:
     """Parse a network TSV written by ``save_network``.
 
@@ -727,15 +739,18 @@ def load_network(source) -> AssociativeNetwork:
     rank[[seen[node] for node in ids]] = np.arange(len(ids), dtype=np.int32)
     src = rank[np.frombuffer(srcs, dtype=np.int32)]
     dst = rank[np.frombuffer(dsts, dtype=np.int32)]
-    del srcs, dsts  # the sort below is load's memory peak; keep only what it needs
-    # stable sort by (src, dst); near-linear on a file already in that order
-    keys = src.astype(np.int64)
-    keys *= len(ids)
-    keys += dst
-    order = np.argsort(keys, kind="stable")
-    del keys
-    src, dst = src[order], dst[order]
-    weights = np.frombuffer(weights)[order]
+    del srcs, dsts  # a sort below is load's memory peak; keep only what it needs
+    weights = np.frombuffer(weights)
+    if not _ascending(src, dst):  # save_network writes every file in order
+        # stable sort by (src, dst)
+        keys = src.astype(np.int64)
+        keys *= len(ids)
+        keys += dst
+        order = np.argsort(keys, kind="stable")
+        del keys
+        src = src[order]  # one gather at a time, each freeing the array it replaces
+        dst = dst[order]
+        weights = weights[order]
     try:
         net = AssociativeNetwork(
             relation, ids, _indptr(src, len(ids)), dst, weights,

@@ -11,9 +11,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping
 
-_FORBIDDEN_CHARS = ("\t", "\n", "\r")
-
-
 class RecordError(ValueError):
     """Malformed record input; carries the 1-based line number."""
 
@@ -34,15 +31,18 @@ class UnknownResourceError(KeyError):
 def _check_token(token: str, what: str) -> None:
     if not isinstance(token, str) or not token:
         raise ValueError(f"{what} must be a non-empty string, got {token!r}")
-    if any(c.isspace() for c in token):
+    # str.split() splits at exactly the characters that str.isspace accepts
+    if token.split() != [token]:
         raise ValueError(f"{what} must not contain whitespace: {token!r}")
 
 
-def _check_value(value: str, what: str) -> None:
+def _value_fault(value) -> str:
+    """Why ``value`` is not a valid id or value, or "" when it is one."""
     if not isinstance(value, str) or not value:
-        raise ValueError(f"{what} must be a non-empty string, got {value!r}")
-    if any(c in value for c in _FORBIDDEN_CHARS):
-        raise ValueError(f"{what} must not contain tab/newline: {value!r}")
+        return f"must be a non-empty string, got {value!r}"
+    if "\t" in value or "\n" in value or "\r" in value:
+        return f"must not contain tab/newline: {value!r}"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,17 @@ class ResourceRecord:
 
 def make_record(rid: str, properties: Mapping[str, Iterable[str]]) -> ResourceRecord:
     """Validate and freeze raw id/properties into a ResourceRecord."""
-    _check_value(rid, "resource id")
+    fault = _value_fault(rid)
+    if fault:
+        raise ValueError(f"resource id {fault}")
     props: Dict[str, FrozenSet[str]] = {}
     for mu, vals in properties.items():
         _check_token(mu, "property type")
         vals = tuple(vals)
         for v in vals:  # before frozenset, which cannot hash a list
-            _check_value(v, f"value of {mu!r}")
+            fault = _value_fault(v)
+            if fault:
+                raise ValueError(f"value of {mu!r} {fault}")
         if vals:
             props[mu] = frozenset(vals)
     return ResourceRecord(rid, props)
@@ -75,15 +79,18 @@ class Repository:
     """Immutable collection of ResourceRecords keyed by id.
 
     Safe for concurrent read access; nothing mutates a repository after
-    construction.
+    construction, which sorts the ids and the property types once.
     """
 
     def __init__(self, records: Iterable[ResourceRecord] = ()):
-        self._records: Dict[str, ResourceRecord] = {}
+        by_id: Dict[str, ResourceRecord] = {}
         for rec in records:
-            if rec.id in self._records:
+            if rec.id in by_id:
                 raise ValueError(f"duplicate resource id: {rec.id!r}")
-            self._records[rec.id] = rec
+            by_id[rec.id] = rec
+        # held in id order, so ids() and iteration need neither a sort nor a second copy
+        self._records = {rid: by_id[rid] for rid in sorted(by_id)}
+        self._types = tuple(sorted({mu for rec in by_id.values() for mu in rec.properties}))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -92,8 +99,7 @@ class Repository:
         return rid in self._records
 
     def __iter__(self) -> Iterator[ResourceRecord]:
-        for rid in self.ids():
-            yield self._records[rid]
+        return iter(self._records.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Repository):
@@ -106,7 +112,7 @@ class Repository:
         )
 
     def ids(self) -> list:
-        return sorted(self._records)
+        return list(self._records)
 
     def record(self, rid: str) -> ResourceRecord:
         try:
@@ -119,10 +125,7 @@ class Repository:
         return self.record(rid).values(mu)
 
     def property_types(self) -> list:
-        types = set()
-        for rec in self._records.values():
-            types.update(rec.properties)
-        return sorted(types)
+        return list(self._types)
 
 
 def ingest(lines: Iterable[str]) -> Repository:
@@ -168,7 +171,7 @@ def save_repository(repo: Repository, destination) -> None:
                 "id": rec.id,
                 "properties": {mu: sorted(rec.properties[mu]) for mu in sorted(rec.properties)},
             }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(json.dumps(obj) + "\n")  # obj is built in key order
 
 
 def load_repository(source) -> Repository:

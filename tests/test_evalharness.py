@@ -17,6 +17,7 @@ from metaprop import evalharness, swarm
 from metaprop.evalharness import (
     RESULTS_HEADER,
     ExperimentConfig,
+    MetricsRow,
     accept_meta,
     build_relation_network,
     f_score,
@@ -688,6 +689,20 @@ class TestResultsIO:
         assert len(text.strip().splitlines()) == 3
         paths = write_landscapes(rows, tmp_path / "land")
         assert len(paths) == 1
+
+    def test_landscape_names_are_distinct_when_parts_hold_underscores(self, tmp_path):
+        # joined bare, both pairs would be named co:a__b__c.tsv
+        rows = [
+            MetricsRow(mu_y, mu_x, 0.41, 0.5, p, p, p, p, runs_averaged=1, nodes_scored=1,
+                       anomalous=False)
+            for (mu_y, mu_x), p in ((("co:a__b", "c"), 0.25), (("co:a", "b__c"), 0.75))
+        ]
+        paths = write_landscapes(rows, tmp_path / "land")
+        assert sorted(Path(path).name for path in paths) == [
+            "co:a%5F%5Fb__c.tsv", "co:a__b%5F%5Fc.tsv"
+        ]
+        assert Path(paths[0]).read_text() == landscape_text(rows, "co:a", "b__c")
+        assert Path(paths[1]).read_text() == landscape_text(rows, "co:a__b", "c")
 
     def test_pair_summaries(self):
         repo = two_cluster_corpus(n_records=30, seed=2)

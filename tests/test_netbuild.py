@@ -427,6 +427,7 @@ class TestSerialization:
         "edit, message",
         [
             (lambda edges: edges + edges[:1], "duplicate edge"),
+            (lambda edges: edges[:1] + edges, "duplicate edge"),  # in (src, dst) order
             (lambda edges: edges + ["ni\tni\t0x1.0p-1"], "self-loop"),
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t-0x1.0p-1"] + edges[1:], "non-positive"),
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tzz"] + edges[1:], ":2: bad weight 'zz'"),
@@ -437,8 +438,8 @@ class TestSerialization:
             # float.fromhex raises OverflowError, not ValueError, on this one
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t0x1p99999"] + edges[1:], ":2: bad weight"),
         ],
-        ids=["duplicate", "self-loop", "non-positive", "bad-weight", "two-fields",
-             "inf", "-inf", "nan", "overflow"],
+        ids=["duplicate", "adjacent-duplicate", "self-loop", "non-positive", "bad-weight",
+             "two-fields", "inf", "-inf", "nan", "overflow"],
     )
     def test_bad_edge_lines_rejected(self, table1_repo, tmp_path, edit, message):
         # the header's edge count is kept in step, so only the edit is wrong
@@ -705,6 +706,19 @@ class TestTableLoad:
         path.write_text(header + "".join(body))
         assert load_network(path) == net
         assert table_lookups[0] == 3 * net.edge_count
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_one_swapped_pair_is_sorted_wherever_it_is(self, tmp_path, monkeypatch, block):
+        # the order check reads blocks of _BLOCK_ENTRIES edges that overlap
+        # by one, so a swap across a block boundary is seen too
+        monkeypatch.setattr(netbuild, "_BLOCK_ENTRIES", block)
+        net = all_pairs(["a", "b", "c", "d"])
+        path = tmp_path / "net.tsv"
+        save_network(net, path)
+        header, *body = path.read_text().splitlines(keepends=True)
+        for k in range(len(body) - 1):
+            path.write_text(header + "".join(body[:k] + [body[k + 1], body[k]] + body[k + 2 :]))
+            assert load_network(path) == net
 
     def test_forced_collision_reads_every_field_exactly(self, big_network_file, tmp_path, monkeypatch):
         # every key in one slot: a hit still needs equal words, and a field

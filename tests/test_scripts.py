@@ -133,6 +133,17 @@ def _report(layer, capsys):
     return report
 
 
+def test_bench_ingest_runs(capsys):
+    # one save process then one load process per repeat; the load process
+    # writes what it loaded back out, and its digest must equal the save's
+    report = _report("ingest", capsys)
+    assert set(report) == {
+        "corpus", "python", "save_wall_s", "save_ru_maxrss_mib", "load_wall_s",
+        "load_ru_maxrss_mib", "file_sha256",
+    }
+    assert report["corpus"]["records"] == 300 and report["corpus"]["file_mib"] > 0
+
+
 def test_bench_build_runs(capsys):
     report = _report("build", capsys)
     assert set(report) == {
