@@ -34,9 +34,10 @@ from .netbuild import (
     build_occurrence,
     normalize,
     numbered_values,
+    parse_relation,
     relation_for,
 )
-from .records import Repository, ResourceRecord
+from .records import Repository, ResourceRecord, _check_token, _dump_fields
 from .swarm import PropagationConfig, RecommendationStore, _sequential_sum, _walk, derive_seed
 
 DEFAULT_DENSITIES = (0.01, 0.21, 0.41, 0.61, 0.81)
@@ -236,7 +237,7 @@ def _run_cell_once(
     n = len(net.ids)
     atrophied = np.zeros(n, dtype=bool)
     atrophied[_atrophy_pick(np.flatnonzero(target.holds).tolist(), 1.0 - density, rng)] = True
-    ((keys, _, totals),), _, _, _ = _walk(
+    ((keys, totals),), _, _, _ = _walk(
         net, replace(prop_cfg, seed=seed), [(atrophied, target)], carriers_only=True
     )
     n_values = len(target.names)
@@ -433,23 +434,17 @@ def load_results(source) -> List[MetricsRow]:
     """Read a results file; a numeric field that does not parse, a score
     (precision, recall, F or max F) outside [0, 1], a density, percentile or
     run count outside the range ``ExperimentConfig`` allows, a negative
-    ``nodes_scored``, an ``anomalous`` flag other than 0 or 1, or a second
-    row for a (mu_y, mu_x, density, percentile) cell raises ValueError at
-    its line."""
+    ``nodes_scored``, an ``anomalous`` flag other than 0 or 1, a ``mu_y``
+    that is not a relation label, a ``mu_x`` that is not a property type,
+    or a second row for a (mu_y, mu_x, density, percentile) cell raises
+    ValueError at its line."""
     rows: List[MetricsRow] = []
     cells = set()
     with open(source, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != RESULTS_HEADER:
             raise ValueError(f"{source}: not a results file (bad header)")
-        for line_no, line in enumerate(fh, start=2):
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            where = f"{source}:{line_no}"
-            parts = stripped.split("\t")
-            if len(parts) != 11:
-                raise ValueError(f"{where}: expected 11 fields, got {len(parts)}")
+        for where, parts in _dump_fields(fh, source, 2, 11):
             if parts[9] not in ("0", "1"):
                 raise ValueError(f"{where}: anomalous must be 0 or 1, got {parts[9]!r}")
             row = MetricsRow(
@@ -465,6 +460,11 @@ def load_results(source) -> List[MetricsRow]:
                 nodes_scored=_number(int, parts, 8, where),
                 anomalous=parts[9] == "1",
             )
+            try:
+                parse_relation(row.mu_y)
+                _check_token(row.mu_x, "mu_x")
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             cell = (row.mu_y, row.mu_x, row.density, row.percentile)
             if cell in cells:
                 raise ValueError(

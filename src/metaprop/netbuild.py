@@ -496,8 +496,9 @@ def _fields(data: bytes, source, line_no: int):
     One scan for tabs and newlines bounds every field, and a line's count
     of separators is its field count: three fields make an edge line
     ``src, dst, weight``, one non-empty field an isolated node line and one
-    empty field a blank line.  Any other line is rejected here, before any
-    weight is read.
+    empty field a blank line.  Any other line, and an edge line with an
+    empty source or destination, is rejected here, before any weight is
+    read.
 
     Gives the start and width in bytes of the isolated nodes', then every
     source's, then every destination's field; those of every weight field;
@@ -508,18 +509,19 @@ def _fields(data: bytes, source, line_no: int):
     last = np.flatnonzero(raw.take(ends) == 10)  # each line's last field
     counts = np.diff(last, prepend=-1)
     edge = counts == 3
-    bad = np.flatnonzero(~edge & (counts != 1))
-    if bad.size:
-        k = int(bad[0])
-        raise NetworkFormatError(
-            f"{source}:{line_no + k}", f"expected 1 or 3 fields, got {counts[k]}"
-        )
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     widths = ends - starts
     single = last[~edge]
     weight = last[edge]
+    bad = ~edge & (counts != 1)
+    bad[edge] = (widths.take(weight - 2) == 0) | (widths.take(weight - 1) == 0)
+    bad = np.flatnonzero(bad)
+    if bad.size:
+        k = int(bad[0])
+        fault = "empty node id" if edge[k] else f"expected 1 or 3 fields, got {counts[k]}"
+        raise NetworkFormatError(f"{source}:{line_no + k}", fault)
     node = np.concatenate((single[widths.take(single) > 0], weight - 2, weight - 1))
     node_fields = starts.take(node), widths.take(node)
     return node_fields, (starts.take(weight), widths.take(weight)), len(last)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping
 
 class RecordError(ValueError):
@@ -43,6 +44,21 @@ def _value_fault(value) -> str:
     if "\t" in value or "\n" in value or "\r" in value:
         return f"must not contain tab/newline: {value!r}"
     return ""
+
+
+def _dump_fields(fh, source, start: int, count: int):
+    """The non-blank lines of a tab-separated dump ``fh``, numbered from
+    ``start``, as ("{source}:{line}", fields); a line with other than
+    ``count`` fields raises ValueError at its line."""
+    for line_no, line in enumerate(fh, start=start):
+        stripped = line.rstrip("\n")
+        if not stripped:
+            continue
+        where = f"{source}:{line_no}"
+        parts = stripped.split("\t")
+        if len(parts) != count:
+            raise ValueError(f"{where}: expected {count} fields, got {len(parts)}")
+        yield where, parts
 
 
 @dataclass(frozen=True)
@@ -83,14 +99,14 @@ class Repository:
     """
 
     def __init__(self, records: Iterable[ResourceRecord] = ()):
-        by_id: Dict[str, ResourceRecord] = {}
-        for rec in records:
-            if rec.id in by_id:
-                raise ValueError(f"duplicate resource id: {rec.id!r}")
-            by_id[rec.id] = rec
+        ordered = sorted(records, key=attrgetter("id"))
         # held in id order, so ids() and iteration need neither a sort nor a second copy
-        self._records = {rid: by_id[rid] for rid in sorted(by_id)}
-        self._types = tuple(sorted({mu for rec in by_id.values() for mu in rec.properties}))
+        self._records = {rec.id: rec for rec in ordered}
+        if len(self._records) < len(ordered):
+            # the sort puts equal ids side by side, the smallest first
+            rid = next(a.id for a, b in zip(ordered, ordered[1:]) if a.id == b.id)
+            raise ValueError(f"duplicate resource id: {rid!r}")
+        self._types = tuple(sorted({mu for rec in ordered for mu in rec.properties}))
 
     def __len__(self) -> int:
         return len(self._records)

@@ -33,9 +33,9 @@ count only the walked particles.
 Deposits are kept as (node, value) keys per tick and summed when the loop
 ends with ``np.add.at`` in event order, so each sum is the same float that
 adding the energies one by one gives, and each (node, property) entry
-lists its values in first-deposit order.  Every other float sum here is
-left to right too, never built-in ``sum``, whose rounding changed in
-Python 3.12.
+lists its values in name order, the order its store dump holds.  Every
+other float sum here is left to right too, never built-in ``sum``, whose
+rounding changed in Python 3.12.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Dict, Iterator, Mapping, Tuple
 import numpy as np
 
 from .netbuild import AssociativeNetwork, normalize, numbered_values
-from .records import Repository
+from .records import Repository, _check_token, _dump_fields, _value_fault
 
 ENERGY_FORMAT = "%.12g"  # store dump rendering; in-memory energies stay exact
 
@@ -248,6 +248,10 @@ def _floor_never_stops(cfg: PropagationConfig) -> bool:
     keep = 1.0 - cfg.delta
     energy = 1.0
     for _ in range(cfg.max_steps - 1):
+        # at or below the floor the chain stays there; at a fixed point it
+        # stays put, which keeps the loop short at any max_steps
+        if energy <= cfg.energy_floor or energy * keep == energy:
+            break
         energy *= keep
     return energy > cfg.energy_floor
 
@@ -326,29 +330,28 @@ def _walk(
     return totals, t, walkers - len(live), _sequential_sum(np.full(len(live), energy))
 
 
-def _deposit_totals(ticks) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _deposit_totals(ticks) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct keys of one property's deposits, given per tick as
-    (keys, energy), in ascending order, with each key's first event and its
-    energies summed with ``np.add.at`` one by one in event order, the same
-    float that ``entry[x] + e`` gives."""
+    (keys, energy), in ascending order, with each key's energies summed with
+    ``np.add.at`` one by one in event order, the same float that
+    ``entry[x] + e`` gives."""
     keys = np.concatenate([k for k, _ in ticks] or [np.empty(0, dtype=np.int64)])
     energies = np.repeat([e for _, e in ticks], [len(k) for k, _ in ticks])
-    distinct, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    distinct, which = np.unique(keys, return_inverse=True)
     totals = np.zeros(len(distinct))
     np.add.at(totals, which, energies)
-    return distinct, first, totals
+    return distinct, totals
 
 
 def _fill_store(store: RecommendationStore, ids, mu: str, names, deposits) -> None:
     """Put one property's ``_deposit_totals``, keyed node * len(names) + value
-    number, into ``store``, each entry's values in first-deposit order."""
-    distinct, first, totals = deposits
-    nodes, values = np.divmod(distinct, len(names))
-    order = np.lexsort((first, nodes))
-    nodes = nodes[order]
+    number, into ``store``.  The keys ascend by node, then by value number,
+    which is name order, so each entry lists its values as its dump does."""
+    keys, totals = deposits
+    nodes, values = np.divmod(keys, len(names))
     starts = np.flatnonzero(np.diff(nodes, prepend=-1)).tolist()
-    value_names = np.array(names, dtype=object)[values[order]].tolist()
-    totals = totals[order].tolist()
+    value_names = np.array(names, dtype=object)[values].tolist()
+    totals = totals.tolist()
     for node, lo, hi in zip(nodes[starts].tolist(), starts, starts[1:] + [len(nodes)]):
         store._entries[(ids[node], mu)] = dict(zip(value_names[lo:hi], totals[lo:hi]))
 
@@ -362,25 +365,29 @@ def save_store(store: RecommendationStore, destination) -> None:
 
 
 def load_store(source) -> RecommendationStore:
-    """Read a store dump; a duplicate (node, property, value) line or an
-    energy that is not a finite number >= 0 raises ValueError at its line."""
+    """Read a store dump; an energy that is not a finite number >= 0, a node
+    or value that is not a valid record id or value, a property that is not
+    a valid property type, or a duplicate (node, property, value) line
+    raises ValueError at its line."""
     store = RecommendationStore()
     with open(source, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            where = f"{source}:{line_no}"
-            parts = stripped.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{where}: expected 4 fields, got {len(parts)}")
-            node, mu, value, energy_s = parts
+        for where, (node, mu, value, energy_s) in _dump_fields(fh, source, 1, 4):
             try:
                 energy = float(energy_s)
             except ValueError:
                 energy = math.nan
             if not (math.isfinite(energy) and energy >= 0.0):
                 raise ValueError(f"{where}: energy must be a finite number >= 0, got {energy_s!r}")
+            fault = _value_fault(node)
+            if fault:
+                raise ValueError(f"{where}: node {fault}")
+            try:
+                _check_token(mu, "property")
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            fault = _value_fault(value)
+            if fault:
+                raise ValueError(f"{where}: value {fault}")
             if value in store.entry(node, mu):
                 raise ValueError(f"{where}: duplicate value {value!r} for ({node!r}, {mu!r})")
             store.add(node, mu, value, energy)

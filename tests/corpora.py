@@ -1,6 +1,9 @@
-"""Corpora that only the tests use."""
+"""Corpora, and the oracles read off them, that only the tests use."""
 
+import itertools
 import random
+
+import numpy as np
 
 from metaprop.records import Repository, make_record
 
@@ -30,3 +33,30 @@ def random_repository(
                 props["cite"] = cited
         records.append(make_record(rid, props))
     return Repository(records)
+
+
+def brute_force_cooccurrence(repo, mu):
+    """O(N^2) reference for the co-occurrence definition: edge weights as a
+    dict {(src, dst): w}.  Kept independent of build_cooccurrence's sparse product."""
+    weights = {}
+    ids = repo.ids()
+    for i, j in itertools.combinations(ids, 2):
+        a, b = repo.meta(i, mu), repo.meta(j, mu)
+        co = len(a & b)
+        if co:
+            w = co / (len(a) + len(b) - co)
+            weights[(i, j)] = w
+            weights[(j, i)] = w
+    return weights
+
+
+def edge_list(net):
+    """All (src, dst, weight) triples in sorted order, read off the CSR arrays."""
+    src = np.repeat(np.arange(len(net.ids)), np.diff(net.indptr)).tolist()
+    ids = net.ids
+    return [(ids[s], ids[d], w) for s, d, w in zip(src, net.indices.tolist(), net.weights.tolist())]
+
+
+def edge_dict(net):
+    """{(src, dst): weight} for every edge."""
+    return {(s, d): w for s, d, w in edge_list(net)}

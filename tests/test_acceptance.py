@@ -5,12 +5,10 @@ lines.  Criterion 9 needs a converted hep-th 2003 record file and is skipped
 unless METAPROP_HEPTH_RECORDS points at one.
 """
 
-import itertools
 import math
 import os
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,14 +27,7 @@ from metaprop.records import Repository, load_repository, make_record
 from metaprop.swarm import PropagationConfig, RecommendationStore, propagate
 from metaprop.synthetic import two_cluster_corpus
 
-from corpora import random_repository
-
-
-def edge_dict(net):
-    """{(src, dst): weight} for every edge, read off the CSR arrays."""
-    src = np.repeat(np.arange(len(net.ids)), np.diff(net.indptr)).tolist()
-    ids = net.ids
-    return {(ids[s], ids[d]): w for s, d, w in zip(src, net.indices.tolist(), net.weights.tolist())}
+from corpora import brute_force_cooccurrence, edge_dict, random_repository
 
 
 def test_criterion_1_formula_fixtures(table1_repo, chain_repo):
@@ -75,14 +66,7 @@ def test_criterion_3_brute_force_cooccurrence_oracle():
         repo = random_repository(n_records=n, vocab_size=12, seed=seed)
         net = build_cooccurrence(repo, "key")
         built = edge_dict(net)
-        reference = {}
-        for i, j in itertools.combinations(repo.ids(), 2):
-            a, b = repo.meta(i, "key"), repo.meta(j, "key")
-            co = len(a & b)
-            if co:
-                w = co / (len(a) + len(b) - co)
-                reference[(i, j)] = w
-                reference[(j, i)] = w
+        reference = brute_force_cooccurrence(repo, "key")
         assert built == reference
     print("ACCEPTANCE 3: PASS - co-occurrence equals O(N^2) reference exactly")
 

@@ -681,6 +681,26 @@ class TestResultsIO:
         with pytest.raises(ValueError, match=r"results\.tsv:2: anomalous must be 0 or 1"):
             load_results(path)
 
+    @pytest.mark.parametrize("label", ["", "co", "co key", "occ:"])
+    def test_mu_y_must_be_a_relation_label(self, tmp_path, label):
+        fields = "cokey jour 0.61 0.0 0.5 0.5 0.5 2 10 0 0.5".split()
+        fields[0] = label
+        path = tmp_path / "results.tsv"
+        path.write_text(RESULTS_HEADER + "\n" + "\t".join(fields) + "\n")
+        with pytest.raises(ValueError, match=r"results\.tsv:2: (unknown relation label|bad property type)"):
+            load_results(path)
+
+    @pytest.mark.parametrize(
+        "mu_x, fault", [("", "must be a non-empty string"), ("j r", "must not contain whitespace")]
+    )
+    def test_mu_x_must_be_a_property_type(self, tmp_path, mu_x, fault):
+        fields = "cokey jour 0.61 0.0 0.5 0.5 0.5 2 10 0 0.5".split()
+        fields[1] = mu_x
+        path = tmp_path / "results.tsv"
+        path.write_text(RESULTS_HEADER + "\n" + "\t".join(fields) + "\n")
+        with pytest.raises(ValueError, match=rf"results\.tsv:2: mu_x {fault}"):
+            load_results(path)
+
     def test_landscape_matrix(self, tmp_path):
         repo = two_cluster_corpus(n_records=30, seed=2)
         rows = run_experiment(repo, _small_cfg(densities=(0.41, 0.61))).rows

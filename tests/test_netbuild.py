@@ -1,5 +1,4 @@
 import contextlib
-import itertools
 import math
 import random
 import re
@@ -28,22 +27,7 @@ from metaprop.netbuild import (
 )
 from metaprop.records import Repository, make_record
 
-from corpora import random_repository
-
-
-def brute_force_cooccurrence(repo, mu):
-    """O(N^2) reference for the co-occurrence definition: edge weights as a
-    dict {(src, dst): w}.  Kept independent of build_cooccurrence's sparse product."""
-    weights = {}
-    ids = repo.ids()
-    for i, j in itertools.combinations(ids, 2):
-        a, b = repo.meta(i, mu), repo.meta(j, mu)
-        co = len(a & b)
-        if co:
-            w = co / (len(a) + len(b) - co)
-            weights[(i, j)] = w
-            weights[(j, i)] = w
-    return weights
+from corpora import brute_force_cooccurrence, edge_dict, edge_list, random_repository
 
 
 def brute_force_occurrence(repo, mu):
@@ -61,17 +45,6 @@ def brute_force_occurrence(repo, mu):
             else:
                 dangling += 1
     return edges, dangling
-
-
-def edge_list(net):
-    """All (src, dst, weight) triples in sorted order, read off the CSR arrays."""
-    src = np.repeat(np.arange(len(net.ids)), np.diff(net.indptr)).tolist()
-    ids = net.ids
-    return [(ids[s], ids[d], w) for s, d, w in zip(src, net.indices.tolist(), net.weights.tolist())]
-
-
-def edge_dict(net):
-    return {(s, d): w for s, d, w in edge_list(net)}
 
 
 BLOCK_SIZES = [1, 5, None]  # one-row blocks, blocks of up to 5 entries, the module's blocks
@@ -432,6 +405,8 @@ class TestSerialization:
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t-0x1.0p-1"] + edges[1:], "non-positive"),
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tzz"] + edges[1:], ":2: bad weight 'zz'"),
             (lambda edges: edges + ["ni\tnj"], ":4: expected 1 or 3 fields, got 2"),
+            (lambda edges: edges + ["\tni\t0x1.0p-1"], ":4: empty node id"),
+            (lambda edges: edges + ["ni\t\t0x1.0p-1"], ":4: empty node id"),
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tinf"] + edges[1:], "infinite weight"),
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t-inf"] + edges[1:], "non-positive"),
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\tnan"] + edges[1:], "NaN weight"),
@@ -439,7 +414,7 @@ class TestSerialization:
             (lambda edges: [edges[0].rsplit("\t", 1)[0] + "\t0x1p99999"] + edges[1:], ":2: bad weight"),
         ],
         ids=["duplicate", "adjacent-duplicate", "self-loop", "non-positive", "bad-weight",
-             "two-fields", "inf", "-inf", "nan", "overflow"],
+             "two-fields", "empty-source", "empty-destination", "inf", "-inf", "nan", "overflow"],
     )
     def test_bad_edge_lines_rejected(self, table1_repo, tmp_path, edit, message):
         # the header's edge count is kept in step, so only the edit is wrong
@@ -590,6 +565,25 @@ class TestBlockedIO:
         path.write_bytes(saved.read_bytes())
         rewrite_body(path, lambda body: body[:100_000] + ["n001\tn002\n", "\n"] + body[100_000:])
         with pytest.raises(NetworkFormatError, match=":100002: expected 1 or 3 fields, got 2"):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["\tn002\t0x1p-1\n"], ":100002: empty node id"),
+            (["n001\t\t0x1p-1\n"], ":100002: empty node id"),
+            # a block's first faulty line is named, whichever its fault
+            (["\t\t0x1p-1\n", "n001\tn002\n"], ":100002: empty node id"),
+            (["n001\tn002\n", "\t\t0x1p-1\n"], ":100002: expected 1 or 3 fields, got 2"),
+        ],
+        ids=["source", "destination", "empty-first", "field-count-first"],
+    )
+    def test_empty_node_id_in_a_later_block(self, big_network_file, tmp_path, lines, message):
+        _, saved = big_network_file
+        path = tmp_path / "net.tsv"
+        path.write_bytes(saved.read_bytes())
+        rewrite_body(path, lambda body: body[:100_000] + lines + body[100_000:])
+        with pytest.raises(NetworkFormatError, match=message):
             load_network(path)
 
 

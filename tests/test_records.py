@@ -34,6 +34,11 @@ class TestIngest:
         with pytest.raises(ValueError, match="duplicate resource id: 'm1'"):
             Repository([rec, rec])
 
+    def test_repository_names_the_smallest_duplicate_id(self):
+        recs = [make_record(rid, {}) for rid in ("m3", "m1", "m2", "m3", "m1")]
+        with pytest.raises(ValueError, match="duplicate resource id: 'm1'"):
+            Repository(recs)
+
     def test_values_deduplicated(self):
         repo = ingest(_lines({"id": "m1", "properties": {"key": ["swarm", "swarm"]}}))
         assert repo.meta("m1", "key") == {"swarm"}

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import re
 from itertools import islice
 from statistics import NormalDist
 
@@ -96,10 +97,14 @@ def reference_propagate(net, repo, cfg):
 
 def exact(result):
     """A walk's outcome with energies as hex (the residual as repr, which
-    also tells an int from a float) and each entry's values in insertion
-    order, so equal means bit for bit."""
+    also tells an int from a float) and each entry's values sorted, since the
+    reference lists them in first-deposit order and a store in name order,
+    so equal means bit for bit."""
     return (
-        [(key, [(x, e.hex()) for x, e in values.items()]) for key, values in result.store.entries()],
+        [
+            (key, [(x, e.hex()) for x, e in sorted(values.items())])
+            for key, values in result.store.entries()
+        ],
         result.ticks,
         result.frozen,
         repr(result.residual_energy),
@@ -403,6 +408,45 @@ class TestStoreSerialization:
         with pytest.raises(ValueError, match=rf"store\.tsv:2: expected 4 fields, got {count}$"):
             load_store(path)
 
+    def test_walk_store_iterates_as_its_dump(self, tmp_path):
+        # several values per entry, deposited in no particular name order
+        repo = random_repository(60, vocab_size=8, max_values=4, seed=3)
+        net = normalize(build_cooccurrence(repo, "key"))
+        store = propagate(net, repo, PropagationConfig(seed=8)).store
+        path = tmp_path / "store.tsv"
+        save_store(store, path)
+        listed = [(key, list(values)) for key, values in store.entries()]
+        assert listed == [(key, list(values)) for key, values in load_store(path).entries()]
+        assert max(len(values) for _, values in listed) > 1
+
+    def test_empty_node_rejected(self, tmp_path):
+        path = tmp_path / "store.tsv"
+        path.write_text("A\tkey\tx\t0.5\n\tkey\tx\t0.5\n")
+        with pytest.raises(ValueError, match=r"store\.tsv:2: node must be a non-empty string, got ''"):
+            load_store(path)
+
+    @pytest.mark.parametrize(
+        "mu, fault",
+        [("", "must be a non-empty string, got ''"), ("k y", "must not contain whitespace: 'k y'")],
+    )
+    def test_bad_property_rejected(self, tmp_path, mu, fault):
+        path = tmp_path / "store.tsv"
+        path.write_text(f"A\tkey\tx\t0.5\na b\t{mu}\tv\t1\n")
+        with pytest.raises(ValueError, match=rf"store\.tsv:2: property {re.escape(fault)}"):
+            load_store(path)
+
+    def test_empty_value_rejected(self, tmp_path):
+        path = tmp_path / "store.tsv"
+        path.write_text("A\tkey\tx\t0.5\nA\tkey\t\t0.25\n")
+        with pytest.raises(ValueError, match=r"store\.tsv:2: value must be a non-empty string"):
+            load_store(path)
+
+    def test_spaces_in_node_and_value_accepted(self, tmp_path):
+        # record ids and values may hold spaces; property types may not
+        path = tmp_path / "store.tsv"
+        path.write_text("a b\tkey\tv w\t1\n")
+        assert load_store(path).entry("a b", "key") == {"v w": 1.0}
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "store.tsv"
         path.write_text("\nA\tkey\tx\t0.5\n\nA\tkey\ty\t0.25\n\n")
@@ -594,8 +638,8 @@ def carrier_cases(draw):
 
 
 def walk_bytes(net, cfg, payload, carriers_only):
-    """Each property's deposit keys, first events and totals as (dtype,
-    shape, bytes), so equal means equal in value and dtype, bit for bit."""
+    """Each property's deposit keys and totals as (dtype, shape, bytes), so
+    equal means equal in value and dtype, bit for bit."""
     totals, _, _, _ = _walk(net, cfg, payload, carriers_only=carriers_only)
     return [[(a.dtype, a.shape, a.tobytes()) for a in arrays] for arrays in totals]
 
@@ -624,6 +668,11 @@ class TestCarriersOnly:
             # the floor at the last checked energy itself: the check stops there
             (PropagationConfig(energy_floor=geometric(0.15, 49)), False),
             (PropagationConfig(energy_floor=math.nextafter(geometric(0.15, 49), 0.0)), True),
+            # the chain is under the floor long before the last tick
+            (PropagationConfig(max_steps=10**9), False),
+            # the chain reaches a fixed point: 1.0, or the smallest subnormal
+            (PropagationConfig(delta=0.0, max_steps=10**9, energy_floor=0.5), True),
+            (PropagationConfig(max_steps=10**9, energy_floor=0.0), True),
         ],
     )
     def test_floor_guard(self, cfg, passes):
@@ -656,7 +705,7 @@ class TestCarriersOnly:
         payload = [(np.ones(len(net.ids), dtype=bool), values)]  # every node receives
         got = walk_bytes(net, cfg, payload, True)
         assert got == walk_bytes(net, cfg, payload, False)
-        assert [shape for (_, shape, _) in got[0]] == [(0,)] * 3
+        assert [shape for (_, shape, _) in got[0]] == [(0,)] * 2
 
 
 def oracle_base():
@@ -760,7 +809,7 @@ class TestClosedFormOracle:
         else:
             values = numbered_values(records, "tag")
             payload = [(np.tile(receiver, ORACLE_COPIES), values)]
-            ((keys, _, totals),), _, _, _ = _walk(normalize(net), cfg, payload, carriers_only=True)
+            ((keys, totals),), _, _, _ = _walk(normalize(net), cfg, payload, carriers_only=True)
             got.reshape(-1)[keys] = totals
 
         assert not got[:, ~cells].any(), "a deposit where the closed form expects none"
