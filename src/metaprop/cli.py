@@ -54,11 +54,6 @@ def cmd_build(args) -> int:
         net = netbuild.build_cooccurrence(repo, relation.mu)
     else:
         net = netbuild.build_occurrence(repo, relation.mu)
-        if net.edge_count == 0:
-            return _err(
-                f"occurrence relation {relation.label!r} produced no edges: "
-                f"no value of {relation.mu!r} is the id of another resource"
-            )
     if not args.no_normalize:
         net = netbuild.normalize(net)
     netbuild.save_network(net, args.output)

@@ -88,18 +88,35 @@ def parse_relation(label: str) -> Relation:
 
 
 def relation_for(repo: Repository, label: str) -> Relation:
-    """The relation ``label`` names, checked against ``repo``: a label that
+    """The relation ``label`` names, checked against ``repo``.  A label that
     does not parse, or one over a property that no record holds, is a
-    ``RelationError`` that ends in the repository's valid labels."""
+    ``RelationError`` that ends in the labels this check accepts; so is an
+    occurrence relation that makes no edge, as no value of its property is
+    the id of another record."""
     properties = repo.property_types()
-    kinds = (OCCURRENCE, COOCCURRENCE)
-    valid = ", ".join(Relation(kind, mu).label for kind in kinds for mu in properties)
+
+    def makes_edges(relation: Relation) -> bool:
+        # build_occurrence drops self-references and ids that name no record
+        return relation.kind == COOCCURRENCE or any(
+            v != r.id and v in repo for r in repo for v in r.values(relation.mu)
+        )
+
+    def valid() -> str:  # worked out only on the error path
+        kinds = (OCCURRENCE, COOCCURRENCE)
+        candidates = (Relation(kind, mu) for kind in kinds for mu in properties)
+        return ", ".join(rel.label for rel in candidates if makes_edges(rel))
+
     try:
         relation = parse_relation(label)
     except RelationError as exc:
-        raise RelationError(f"{exc}; valid labels: {valid}") from None
+        raise RelationError(f"{exc}; valid labels: {valid()}") from None
     if relation.mu not in properties:
-        raise RelationError(f"no property {relation.mu!r} in repository; valid labels: {valid}")
+        raise RelationError(f"no property {relation.mu!r} in repository; valid labels: {valid()}")
+    if not makes_edges(relation):
+        raise RelationError(
+            f"occurrence relation {relation.label!r} produced no edges: "
+            f"no value of {relation.mu!r} is the id of another resource"
+        )
     return relation
 
 
@@ -268,13 +285,6 @@ class AssociativeNetwork:
         )
 
 
-def _indptr(src: np.ndarray, n: int) -> np.ndarray:
-    """Row offsets for edges whose (sorted) source node numbers are ``src``."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr
-
-
 class NumberedValues(NamedTuple):
     """One property over numbered nodes: which node holds which values,
     each value numbered by its place in name order."""
@@ -323,8 +333,8 @@ def build_occurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     kept = listed & (dst != src)
     src = src[kept]
     return AssociativeNetwork(
-        Relation(OCCURRENCE, mu), ids, _indptr(src, n), dst[kept], 1.0 / sizes[src],
-        dangling=int(np.count_nonzero(~listed)),
+        Relation(OCCURRENCE, mu), ids, np.searchsorted(src, np.arange(n + 1, dtype=src.dtype)),
+        dst[kept], 1.0 / sizes[src], dangling=int(np.count_nonzero(~listed)),
     )
 
 
@@ -755,8 +765,8 @@ def load_network(source) -> AssociativeNetwork:
         weights = weights[order]
     try:
         net = AssociativeNetwork(
-            relation, ids, _indptr(src, len(ids)), dst, weights,
-            normalized=normalized, dangling=dangling,
+            relation, ids, np.searchsorted(src, np.arange(len(ids) + 1, dtype=src.dtype)),
+            dst, weights, normalized=normalized, dangling=dangling,
         )
     except ValueError as exc:
         raise NetworkFormatError(str(source), str(exc)) from exc

@@ -8,9 +8,8 @@ compared by exact equality; no normalization is applied here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple
 
 class RecordError(ValueError):
     """Malformed record input; carries the 1-based line number."""
@@ -61,12 +60,12 @@ def _dump_fields(fh, source, start: int, count: int):
         yield where, parts
 
 
-@dataclass(frozen=True)
-class ResourceRecord:
-    """One resource: an id plus property-type -> value-set metadata."""
+class ResourceRecord(NamedTuple):
+    """One resource: an id plus property-type -> value-set metadata; a
+    named tuple, so immutable and equal by id and properties."""
 
     id: str
-    properties: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
+    properties: Mapping[str, FrozenSet[str]]
 
     def values(self, mu: str) -> FrozenSet[str]:
         """Value set for property type ``mu``; absent property == empty set."""
@@ -120,12 +119,7 @@ class Repository:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Repository):
             return NotImplemented
-        if set(self._records) != set(other._records):
-            return False
-        return all(
-            self._records[rid].properties == other._records[rid].properties
-            for rid in self._records
-        )
+        return self._records == other._records
 
     def ids(self) -> list:
         return list(self._records)

@@ -133,7 +133,7 @@ class TestBuildNetwork:
         assert main(["build-network", str(repo), "--relation", "nosuch",
                      "--output", str(tmp_path / "net.tsv")]) == 1
         err = capsys.readouterr().err
-        assert "valid labels: occ:coref, ref, cocoref, coref\n" in err
+        assert "valid labels: occ:coref, cocoref, coref\n" in err
         net = tmp_path / "net.tsv"
         assert main(["build-network", str(repo), "--relation", "occ:coref",
                      "--output", str(net)]) == 0
@@ -401,6 +401,28 @@ class TestExperiment:
         header_only.write_text(evalharness.RESULTS_HEADER + "\n")
         assert main(["report", str(header_only)]) == 1
         assert capsys.readouterr() == ("", f"error: {header_only}: results file contains no rows\n")
+
+    def test_occurrence_relation_without_edges_fails_its_cells(self, tmp_path, capsys):
+        # no journal name is a record id, so "jour" makes no edge; the grid
+        # used to walk the edgeless network and write rows of F = 0.0
+        results = tmp_path / "results.tsv"
+        results.write_bytes(b"an earlier run's results\n")
+        rc = main(["experiment", str(_corpus_file(tmp_path)), "--relations", "jour",
+                   "--properties", "jour", "--densities", "0.41,0.61", "--runs", "1",
+                   "--seed", "3", "--output", str(results)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        reason = (
+            "network build failed: occurrence relation 'jour' produced no edges: "
+            "no value of 'jour' is the id of another resource"
+        )
+        assert err == [
+            f"cell error: jour/jour density=0.41 run=-1: {reason}",
+            f"cell error: jour/jour density=0.61 run=-1: {reason}",
+            "2 cell failures recorded",
+            "error: all cells failed",
+        ]
+        assert results.read_bytes() == b"an earlier run's results\n"
 
     def test_grid_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(_DEFAULTS_ARGV["experiment"])

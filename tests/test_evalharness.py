@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from metaprop import evalharness, swarm
 from metaprop.evalharness import (
     RESULTS_HEADER,
+    CellError,
     ExperimentConfig,
     MetricsRow,
     accept_meta,
@@ -153,6 +154,10 @@ class TestMetrics:
     def test_empty_accepted_recall_zero(self):
         assert recall(frozenset({"a"}), frozenset()) == 0.0
 
+    def test_empty_truth_recall_undefined(self):
+        with pytest.raises(ValueError, match="empty ground-truth set"):
+            recall(frozenset(), frozenset({"a"}))
+
     def test_empty_accepted_precision_undefined(self):
         with pytest.raises(ValueError):
             precision(frozenset({"a"}), frozenset())
@@ -250,11 +255,31 @@ class TestRunExperiment:
         # to read only "... for relation 'nosuchprop'"
         repo = two_cluster_corpus(n_records=20, seed=0)
         result = run_experiment(repo, _small_cfg(network_relations=("cokey", "nosuchprop")))
-        suffix = "; valid labels: auth, jour, key, coauth, cojour, cokey"
+        suffix = "; valid labels: coauth, cojour, cokey"
         assert result.errors
         for e in result.errors:
             assert e.mu_y == "nosuchprop"
             assert e.message.endswith(suffix)
+
+    def test_occurrence_relation_without_edges_fails_its_cells(self):
+        # no journal name is a record id, so "jour" makes no edge; the grid
+        # used to walk the edgeless network and score every cell F = 0.0,
+        # where build-network refused the relation
+        repo = two_cluster_corpus(n_records=20, seed=0)
+        cfg = _small_cfg(
+            network_relations=("jour", "cokey"), target_properties=("jour", "auth"),
+            densities=(0.41, 0.61),
+        )
+        result = run_experiment(repo, cfg)
+        reason = (
+            "network build failed: occurrence relation 'jour' produced no edges: "
+            "no value of 'jour' is the id of another resource"
+        )
+        assert result.errors == [
+            CellError("jour", mu_x, d, -1, reason) for mu_x in ("jour", "auth") for d in (0.41, 0.61)
+        ]
+        alone = run_experiment(repo, replace(cfg, network_relations=("cokey",)))
+        assert alone.errors == [] and result.rows == alone.rows
 
     def test_density_counts_only_the_holders(self):
         # 50 of 100 records hold jour: density d keeps a share d of them.

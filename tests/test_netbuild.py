@@ -106,10 +106,47 @@ class TestRelations:
     ])
     def test_relation_for_lists_the_valid_labels(self, label, message):
         repo = Repository([make_record("a", {"cite": ["b"], "key": ["x"]}), make_record("b", {})])
-        valid = "; valid labels: cite, key, cocite, cokey"
+        valid = "; valid labels: cite, cocite, cokey"
         with pytest.raises(RelationError, match=f"^{re.escape(message + valid)}$"):
             relation_for(repo, label)
         assert relation_for(repo, "cokey") == Relation(COOCCURRENCE, "key")
+
+    def test_unknown_kind(self):
+        with pytest.raises(RelationError, match="^unknown relation kind: 'bogus'$"):
+            Relation("bogus", "x")
+
+    @pytest.mark.parametrize("cites", [["a"], ["ghost"], ["a", "ghost"]])
+    def test_relation_for_refuses_an_occurrence_relation_without_edges(self, cites):
+        # build_occurrence drops a self-reference and an id that names no record
+        repo = Repository([make_record("a", {"cite": cites}), make_record("b", {"cite": ["b"]})])
+        assert build_occurrence(repo, "cite").edge_count == 0
+        message = (
+            "occurrence relation 'cite' produced no edges: "
+            "no value of 'cite' is the id of another resource"
+        )
+        with pytest.raises(RelationError, match=f"^{re.escape(message)}$"):
+            relation_for(repo, "cite")
+        assert relation_for(repo, "cocite") == Relation(COOCCURRENCE, "cite")
+
+    def test_relation_for_accepts_one_cross_reference(self):
+        repo = Repository(
+            [make_record("a", {"cite": ["a", "ghost"]}), make_record("b", {"cite": ["a"]})]
+        )
+        assert relation_for(repo, "cite") == Relation(OCCURRENCE, "cite")
+        assert build_occurrence(repo, "cite").edge_count == 1
+
+    @given(st.dictionaries(
+        st.sampled_from("abc"), st.lists(st.sampled_from("abcx"), min_size=1, max_size=3),
+        min_size=1,
+    ))
+    def test_relation_for_accepts_exactly_the_relations_with_edges(self, cites):
+        repo = Repository(
+            [make_record(rid, {"cite": vals}) for rid, vals in cites.items()]
+            + [make_record(rid, {}) for rid in "abc" if rid not in cites]
+        )
+        edges = build_occurrence(repo, "cite").edge_count
+        with contextlib.nullcontext() if edges else pytest.raises(RelationError):
+            relation_for(repo, "cite")
 
     @given(st.sampled_from([OCCURRENCE, COOCCURRENCE]), st.text("oc:x", min_size=1, max_size=7))
     def test_label_reads_back(self, kind, mu):
@@ -139,6 +176,10 @@ class TestOccurrence:
         repo = Repository([make_record("a", {"cite": ["b"]}), make_record("b", {})])
         net = build_occurrence(repo, "cite")
         assert dict(net.out_edges("a")).get("b") == 1.0
+
+    def test_unknown_node_has_no_out_edges(self):
+        repo = Repository([make_record("a", {"cite": ["b"]}), make_record("b", {})])
+        assert build_occurrence(repo, "cite").out_edges("nosuch") == ()
 
     def test_no_citations_no_edges(self):
         repo = Repository([make_record("a", {}), make_record("b", {})])

@@ -145,6 +145,21 @@ def test_record_is_immutable():
     rec = make_record("m", {"key": ["a"]})
     with pytest.raises(AttributeError):
         rec.id = "other"
+    with pytest.raises(AttributeError):
+        rec.properties = {}
+
+
+@pytest.mark.parametrize("other", [
+    [make_record("m1", {"key": ["a"]})],  # an id fewer
+    [make_record("m1", {"key": ["a"]}), make_record("m3", {})],  # another id
+    [make_record("m1", {"key": ["b"]}), make_record("m2", {})],  # another value
+    [make_record("m1", {"key": ["a"]}), make_record("m2", {"key": ["a"]})],  # another property
+])
+def test_repositories_differ(other):
+    repo = Repository([make_record("m2", {}), make_record("m1", {"key": ["a"]})])
+    assert repo == Repository([make_record("m1", {"key": ("a",)}), make_record("m2", {})])
+    assert repo != Repository(other)
+    assert repo != repo.ids()
 
 
 # The checks as they were written before they ran at str speed: the oracle
