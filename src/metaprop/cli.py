@@ -54,6 +54,7 @@ def cmd_build(args) -> int:
         net = netbuild.build_cooccurrence(repo, relation.mu)
     else:
         net = netbuild.build_occurrence(repo, relation.mu)
+    net = netbuild.require_edges(net)
     if not args.no_normalize:
         net = netbuild.normalize(net)
     netbuild.save_network(net, args.output)

@@ -36,6 +36,7 @@ from .netbuild import (
     numbered_values,
     parse_relation,
     relation_for,
+    require_edges,
 )
 from .records import Repository, ResourceRecord, _check_token, _dump_fields
 from .swarm import PropagationConfig, RecommendationStore, _sequential_sum, _walk, derive_seed
@@ -206,13 +207,13 @@ def f_score(pr: float, re: float) -> float:
 
 def build_relation_network(repo: Repository, label: str) -> AssociativeNetwork:
     """Build and normalize the network for a relation label, checked by
-    ``relation_for``."""
+    ``relation_for`` and ``require_edges``."""
     relation = relation_for(repo, label)
     if relation.kind == COOCCURRENCE:
         net = build_cooccurrence(repo, relation.mu)
     else:
         net = build_occurrence(repo, relation.mu)
-    return normalize(net)
+    return normalize(require_edges(net))
 
 
 def _run_cell_once(

@@ -88,23 +88,17 @@ def parse_relation(label: str) -> Relation:
 
 
 def relation_for(repo: Repository, label: str) -> Relation:
-    """The relation ``label`` names, checked against ``repo``.  A label that
+    """The relation ``label`` names, checked against ``repo``: a label that
     does not parse, or one over a property that no record holds, is a
-    ``RelationError`` that ends in the labels this check accepts; so is an
-    occurrence relation that makes no edge, as no value of its property is
-    the id of another record."""
+    ``RelationError`` that ends in the labels ``require_edges`` would pass
+    on ``repo``'s networks."""
     properties = repo.property_types()
 
-    def makes_edges(relation: Relation) -> bool:
-        # build_occurrence drops self-references and ids that name no record
-        return relation.kind == COOCCURRENCE or any(
-            v != r.id and v in repo for r in repo for v in r.values(relation.mu)
-        )
-
     def valid() -> str:  # worked out only on the error path
-        kinds = (OCCURRENCE, COOCCURRENCE)
-        candidates = (Relation(kind, mu) for kind in kinds for mu in properties)
-        return ", ".join(rel.label for rel in candidates if makes_edges(rel))
+        occurrence = [mu for mu in properties if build_occurrence(repo, mu).edge_count]
+        labels = [Relation(OCCURRENCE, mu) for mu in occurrence]
+        labels += [Relation(COOCCURRENCE, mu) for mu in properties]
+        return ", ".join(rel.label for rel in labels)
 
     try:
         relation = parse_relation(label)
@@ -112,12 +106,19 @@ def relation_for(repo: Repository, label: str) -> Relation:
         raise RelationError(f"{exc}; valid labels: {valid()}") from None
     if relation.mu not in properties:
         raise RelationError(f"no property {relation.mu!r} in repository; valid labels: {valid()}")
-    if not makes_edges(relation):
+    return relation
+
+
+def require_edges(net: AssociativeNetwork) -> AssociativeNetwork:
+    """``net``, unless it is an occurrence network with no edge: no value of
+    its property is the id of another record, so its relation is refused."""
+    relation = net.relation
+    if relation.kind == OCCURRENCE and net.edge_count == 0:
         raise RelationError(
             f"occurrence relation {relation.label!r} produced no edges: "
             f"no value of {relation.mu!r} is the id of another resource"
         )
-    return relation
+    return net
 
 
 _BLOCK_ENTRIES = 1 << 18  # entries per block of rows: product entries (an upper bound) or edges

@@ -61,8 +61,10 @@ def _dump_fields(fh, source, start: int, count: int):
 
 
 class ResourceRecord(NamedTuple):
-    """One resource: an id plus property-type -> value-set metadata; a
-    named tuple, so immutable and equal by id and properties."""
+    """One resource: an id plus property-type -> value-set metadata.  A
+    ``typing.NamedTuple``: immutable, and otherwise the tuple ``(id,
+    properties)``, which it unpacks, indexes and compares equal to; so a
+    lone record given where records are expected reads as its two fields."""
 
     id: str
     properties: Mapping[str, FrozenSet[str]]

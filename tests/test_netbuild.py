@@ -23,6 +23,7 @@ from metaprop.netbuild import (
     numbered_values,
     parse_relation,
     relation_for,
+    require_edges,
     save_network,
 )
 from metaprop.records import Repository, make_record
@@ -116,37 +117,44 @@ class TestRelations:
             Relation("bogus", "x")
 
     @pytest.mark.parametrize("cites", [["a"], ["ghost"], ["a", "ghost"]])
-    def test_relation_for_refuses_an_occurrence_relation_without_edges(self, cites):
+    def test_require_edges_refuses_an_occurrence_network_without_edges(self, cites):
         # build_occurrence drops a self-reference and an id that names no record
         repo = Repository([make_record("a", {"cite": cites}), make_record("b", {"cite": ["b"]})])
-        assert build_occurrence(repo, "cite").edge_count == 0
+        assert relation_for(repo, "cite") == Relation(OCCURRENCE, "cite")
+        net = build_occurrence(repo, "cite")
+        assert net.edge_count == 0
         message = (
             "occurrence relation 'cite' produced no edges: "
             "no value of 'cite' is the id of another resource"
         )
         with pytest.raises(RelationError, match=f"^{re.escape(message)}$"):
-            relation_for(repo, "cite")
-        assert relation_for(repo, "cocite") == Relation(COOCCURRENCE, "cite")
+            require_edges(net)
+        co = build_cooccurrence(repo, "cite")
+        assert co.edge_count == 0 and require_edges(co) is co
 
-    def test_relation_for_accepts_one_cross_reference(self):
+    def test_require_edges_passes_one_cross_reference(self):
         repo = Repository(
             [make_record("a", {"cite": ["a", "ghost"]}), make_record("b", {"cite": ["a"]})]
         )
-        assert relation_for(repo, "cite") == Relation(OCCURRENCE, "cite")
-        assert build_occurrence(repo, "cite").edge_count == 1
+        net = build_occurrence(repo, "cite")
+        assert net.edge_count == 1 and require_edges(net) is net
 
     @given(st.dictionaries(
         st.sampled_from("abc"), st.lists(st.sampled_from("abcx"), min_size=1, max_size=3),
         min_size=1,
     ))
-    def test_relation_for_accepts_exactly_the_relations_with_edges(self, cites):
+    def test_valid_labels_name_exactly_the_networks_require_edges_passes(self, cites):
         repo = Repository(
             [make_record(rid, {"cite": vals}) for rid, vals in cites.items()]
             + [make_record(rid, {}) for rid in "abc" if rid not in cites]
         )
-        edges = build_occurrence(repo, "cite").edge_count
-        with contextlib.nullcontext() if edges else pytest.raises(RelationError):
-            relation_for(repo, "cite")
+        with pytest.raises(RelationError) as refused:
+            relation_for(repo, "nosuch")
+        valid = str(refused.value).split("; valid labels: ")[1].split(", ")
+        net = build_occurrence(repo, "cite")
+        with contextlib.nullcontext() if net.edge_count else pytest.raises(RelationError):
+            require_edges(net)
+        assert valid == (["cite", "cocite"] if net.edge_count else ["cocite"])
 
     @given(st.sampled_from([OCCURRENCE, COOCCURRENCE]), st.text("oc:x", min_size=1, max_size=7))
     def test_label_reads_back(self, kind, mu):

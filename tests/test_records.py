@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from metaprop.records import (
     RecordError,
     Repository,
+    ResourceRecord,
     UnknownResourceError,
     ingest,
     load_repository,
@@ -147,6 +148,14 @@ def test_record_is_immutable():
         rec.id = "other"
     with pytest.raises(AttributeError):
         rec.properties = {}
+
+
+def test_record_is_the_tuple_of_its_id_and_properties():
+    rec = make_record("m", {"key": ["a"]})
+    rid, props = rec
+    assert (rid, props) == (rec[0], rec[1]) == ("m", {"key": frozenset({"a"})})
+    assert rec == ("m", {"key": frozenset({"a"})})
+    assert rec == ResourceRecord("m", props) == ResourceRecord(id="m", properties=props)
 
 
 @pytest.mark.parametrize("other", [
