@@ -10,15 +10,18 @@ that reads its own peak RSS (``ru_maxrss``).  ``ingest`` times
 that record file in another, which writes what it loaded back out, untimed,
 so that both processes report the digest of the same bytes.  ``build`` times
 ``build_cooccurrence``, ``normalize`` and then ``pair_count`` with the raw
-network dropped, as ``build-network`` drops it, reading the peak before the
-first and after each.  ``io`` times ``save_network`` in one process and ``load_network``
-of that file in another.  ``grid`` times ``run_experiment`` (network build
-included) over the default densities and percentiles, ``jour`` as the target,
-2 runs each, one worker.  Prints one JSON object with the keys of the layer's
-``BENCH_*.json`` record: every process's wall times and peaks, and each other
-value once.  Those values (digests, edge and error counts) must agree between
-processes, and a loaded network's digest must equal the saved one's; the
-script exits with an error when they do not.
+network dropped, reading the peak before the first and after each; then, in
+a second process, ``build_cooccurrence(..., normalized=True)``, as the grid
+and ``build-network`` build, and the peak after it.  Both processes digest
+the normalized arrays, which must agree.  ``io`` times ``save_network`` in
+one process and ``load_network`` of that file in another.  ``grid`` times
+``run_experiment`` (network build included) over the default densities and
+percentiles, ``jour`` as the target, 2 runs each, one worker.  Prints one
+JSON object with the keys of the layer's ``BENCH_*.json`` record: every
+process's wall times and peaks, and each other value once.  Those values
+(digests, edge and error counts) must agree between processes, and a loaded
+network's digest must equal the saved one's; the script exits with an error
+when they do not.
 """
 
 from __future__ import annotations
@@ -113,7 +116,23 @@ def _build(records: int) -> dict:
         "build_wall_s": build_s, "normalize_wall_s": normalize_s, "pairs_wall_s": pairs_s,
         "start_ru_maxrss_mib": start_peak, "build_ru_maxrss_mib": build_peak,
         "normalize_ru_maxrss_mib": normalize_peak, "pairs_ru_maxrss_mib": _peak_mib(),
-        "arrays_sha256": arrays_sha256,
+        "arrays_sha256": arrays_sha256, "normalized_sha256": _normalized_sha256(net),
+    }
+
+
+def _normalized_sha256(net) -> str:
+    return _network_sha256("", net.ids, net.indptr, net.indices, net.weights, net.cum)
+
+
+def _build_normalized(records: int) -> dict:
+    from metaprop.netbuild import build_cooccurrence
+    from metaprop.synthetic import two_cluster_corpus
+
+    repo = two_cluster_corpus(records, seed=0)
+    net, wall = _timed(build_cooccurrence, repo, "key", normalized=True)
+    return {
+        "normalized_build_wall_s": wall, "normalized_build_ru_maxrss_mib": _peak_mib(),
+        "normalized_sha256": _normalized_sha256(net),
     }
 
 
@@ -157,11 +176,12 @@ def _grid(records: int) -> dict:
 
 STEPS = {
     "save_records": _save_records, "load_records": _load_records,
-    "build": _build, "save": _save, "load": _load, "grid": _grid,
+    "build": _build, "build_normalized": _build_normalized, "save": _save, "load": _load,
+    "grid": _grid,
 }
 LAYERS = {
-    "ingest": ("save_records", "load_records"), "build": ("build",), "io": ("save", "load"),
-    "grid": ("grid",),
+    "ingest": ("save_records", "load_records"), "build": ("build", "build_normalized"),
+    "io": ("save", "load"), "grid": ("grid",),
 }
 
 

@@ -50,17 +50,20 @@ def cmd_ingest(args) -> int:
 def cmd_build(args) -> int:
     repo = records.load_repository(args.repo)
     relation = netbuild.relation_for(repo, args.relation)
+    normalized = not args.no_normalize  # in the build; normalize then returns it as it is
     if relation.kind == netbuild.COOCCURRENCE:
-        net = netbuild.build_cooccurrence(repo, relation.mu)
+        net = netbuild.build_cooccurrence(repo, relation.mu, normalized=normalized)
     else:
-        net = netbuild.build_occurrence(repo, relation.mu)
+        net = netbuild.build_occurrence(repo, relation.mu, normalized=normalized)
     net = netbuild.require_edges(net)
-    if not args.no_normalize:
+    if normalized:
         net = netbuild.normalize(net)
+    # a co-occurrence network joins every pair both ways
+    pairs = net.edge_count // 2 if relation.kind == netbuild.COOCCURRENCE else net.pair_count
     netbuild.save_network(net, args.output)
     print(
         f"relation={net.relation.label} nodes={len(net.ids)} "
-        f"directed_edges={net.edge_count} unordered_pairs={net.pair_count} "
+        f"directed_edges={net.edge_count} unordered_pairs={pairs} "
         f"dangling={net.dangling} normalized={int(net.normalized)}"
     )
     return 0

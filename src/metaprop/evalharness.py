@@ -22,7 +22,7 @@ import random
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -206,18 +206,35 @@ def f_score(pr: float, re: float) -> float:
 
 
 def build_relation_network(repo: Repository, label: str) -> AssociativeNetwork:
-    """Build and normalize the network for a relation label, checked by
-    ``relation_for`` and ``require_edges``."""
+    """The normalized network for a relation label, checked by
+    ``relation_for`` and ``require_edges``.  The builder normalizes while it
+    builds; ``normalize`` then returns its network unchanged."""
     relation = relation_for(repo, label)
     if relation.kind == COOCCURRENCE:
-        net = build_cooccurrence(repo, relation.mu)
+        net = build_cooccurrence(repo, relation.mu, normalized=True)
     else:
-        net = build_occurrence(repo, relation.mu)
+        net = build_occurrence(repo, relation.mu, normalized=True)
     return normalize(require_edges(net))
 
 
+class WalkTables(NamedTuple):
+    """What a grid job reads of a normalized network: the arrays that
+    ``swarm._walk`` reads, without ``weights``, and the relation's property."""
+
+    ids: Tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    cum: np.ndarray
+    mu: str
+
+
+def _walk_tables(net: AssociativeNetwork) -> WalkTables:
+    """References to ``net``'s walk arrays, not copies."""
+    return WalkTables(net.ids, net.indptr, net.indices, net.cum, net.relation.mu)
+
+
 def _run_cell_once(
-    net: AssociativeNetwork,
+    net: WalkTables,
     target: NumberedValues,
     density: float,
     percentiles: Sequence[float],
@@ -273,8 +290,8 @@ def _run_cell_once(
     return per_rho, scored
 
 
-# the config, networks and targets are shipped to workers once, at pool
-# start; a job is only its key
+# the config, each network's WalkTables and the targets are shipped to
+# workers once, at pool start; a job is only its key
 _WORKER_STATE: Dict[str, object] = {}
 
 
@@ -310,8 +327,9 @@ def _outcome(future: Future):
 def run_experiment(repo: Repository, cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Full grid: for each (mu_y, mu_x, density, run), atrophy and propagate
     once, then score every percentile.  Networks are built once per mu_y
-    from the full repository.  Results are independent of ``workers``.  A
-    network that fails to build, a job that raises ValueError, and a job
+    from the full repository; only their ``WalkTables`` are kept, so no
+    worker holds a network's ``weights``.  Results are independent of
+    ``workers``.  A network that fails to build, a job that raises ValueError, and a job
     whose worker process dies or that is submitted after one died are each
     reported as ``CellError``s; any other exception in a job raises.  A
     target property that no record holds, or fewer than one worker, is an
@@ -324,14 +342,15 @@ def run_experiment(repo: Repository, cfg: ExperimentConfig, workers: int = 1) ->
             raise ValueError(
                 f"no property {mu_x!r} in repository; its property types: {', '.join(properties)}"
             )
-    networks: Dict[str, AssociativeNetwork] = {}
+    networks: Dict[str, WalkTables] = {}
     # records in id order, which is the node order of every network built here
     records = list(repo)
     targets = {mu_x: numbered_values(records, mu_x) for mu_x in cfg.target_properties}
     errors: List[CellError] = []
     for mu_y in cfg.network_relations:
         try:
-            networks[mu_y] = build_relation_network(repo, mu_y)
+            # no name keeps the network: its weights are freed before the pool starts
+            networks[mu_y] = _walk_tables(build_relation_network(repo, mu_y))
         except ValueError as exc:
             for mu_x in cfg.target_properties:
                 for density in cfg.densities:
@@ -377,7 +396,7 @@ def run_experiment(repo: Repository, cfg: ExperimentConfig, workers: int = 1) ->
                 done.append(outcome)
         if not done:
             continue
-        anomalous = networks[mu_y].relation.mu == mu_x
+        anomalous = networks[mu_y].mu == mu_x
         for rho in cfg.percentiles:
             prs, res, fs = zip(*(per_rho[rho] for per_rho, _ in done))
             rows.append(

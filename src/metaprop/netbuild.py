@@ -8,7 +8,8 @@ share property values, weighted by overlap:
     w(i, j) = |shared| / (|values_i| + |values_j| - |shared|)
 
 Outgoing weights can be normalized into per-node probability distributions
-for the particle walk.
+for the particle walk, by ``normalize`` or, with the same floats, by a
+builder while it builds (``normalized=True``).
 
 A network is held in compressed sparse row (CSR) form over the sorted node
 ids: three numpy arrays give each row's start offset, the destination node
@@ -136,6 +137,25 @@ def _row_blocks(cost: np.ndarray, budget: int) -> List[Tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _normalize_rows(ids, bounds: List[int], raw, weights, cum, first: int = 0) -> None:
+    """Divide rows ``first``, ``first + 1``, ... of ``raw``, bounded by
+    ``bounds``, by their totals into ``weights`` (which may be ``raw``), and
+    write the divided rows' running sums into ``cum``.  A row's running sum
+    of its raw weights, made in ``cum``, ends in its total, so its three
+    steps reuse it in cache.  A total past the largest float is an error; a
+    weight divided to 0 is the caller's to report."""
+    with np.errstate(over="ignore"):  # an overflowing row is reported by name
+        for node, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), first):
+            if lo < hi:
+                row_cum, row = cum[lo:hi], weights[lo:hi]
+                np.add.accumulate(raw[lo:hi], out=row_cum)
+                total = row_cum[-1]
+                if total == np.inf:
+                    raise ValueError(f"out-weights of {ids[node]!r} sum past the largest float")
+                np.divide(raw[lo:hi], total, out=row)
+                np.add.accumulate(row, out=row_cum)
+
+
 def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each row's running weight sum, accumulated left to right as the
     scalar loop ``acc += w`` does (``np.cumsum`` is sequential; ``np.sum``
@@ -159,6 +179,7 @@ class AssociativeNetwork:
 
     The constructor checks the arrays once; ``normalize`` keeps the ids and
     CSR structure as they were checked and checks only the weights it makes.
+    A normalized network sums its ``cum`` unless a builder gives it.
     """
 
     def __init__(
@@ -170,6 +191,7 @@ class AssociativeNetwork:
         weights,
         normalized: bool = False,
         dangling: int = 0,
+        cum=None,
     ):
         self.relation = relation
         self.ids: Tuple[str, ...] = tuple(ids)
@@ -180,7 +202,7 @@ class AssociativeNetwork:
         self.normalized = normalized
         self.dangling = dangling
         self._check()
-        self.cum = _row_cumsum(self.indptr, self.weights) if normalized else None
+        self.cum = _row_cumsum(self.indptr, self.weights) if normalized and cum is None else cum
         self._freeze()
 
     def _freeze(self) -> None:
@@ -312,12 +334,13 @@ def numbered_values(records: Sequence[ResourceRecord], mu: str) -> NumberedValue
     return NumberedValues(sizes > 0, names, value_ptr, np.sort(base + numbers) - base)
 
 
-def build_occurrence(repo: Repository, mu: str) -> AssociativeNetwork:
+def build_occurrence(repo: Repository, mu: str, normalized: bool = False) -> AssociativeNetwork:
     """Network of direct references: each listed target gets weight
     1/|values|, where the denominator counts ALL listed values (including
     self-references and ids missing from the repository).  Self-loops are
     dropped; references to unknown ids are dropped but tallied in
-    ``dangling``.
+    ``dangling``.  With ``normalized``, rows are normalized in place by
+    ``normalize``'s rule, giving the same floats.
     """
     ids = repo.ids()
     n = len(ids)
@@ -333,13 +356,18 @@ def build_occurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     listed = known[table.value_ids]
     kept = listed & (dst != src)
     src = src[kept]
+    indptr = np.searchsorted(src, np.arange(n + 1, dtype=src.dtype))
+    weights = 1.0 / sizes[src]
+    cum = np.empty_like(weights) if normalized else None
+    if normalized:
+        _normalize_rows(ids, indptr.tolist(), weights, weights, cum)
     return AssociativeNetwork(
-        Relation(OCCURRENCE, mu), ids, np.searchsorted(src, np.arange(n + 1, dtype=src.dtype)),
-        dst[kept], 1.0 / sizes[src], dangling=int(np.count_nonzero(~listed)),
+        Relation(OCCURRENCE, mu), ids, indptr, dst[kept], weights, normalized,
+        int(np.count_nonzero(~listed)), cum,
     )
 
 
-def build_cooccurrence(repo: Repository, mu: str) -> AssociativeNetwork:
+def build_cooccurrence(repo: Repository, mu: str, normalized: bool = False) -> AssociativeNetwork:
     """Symmetric network of shared property values, as S = B·Bᵀ over the
     node x value incidence matrix B.
 
@@ -351,7 +379,9 @@ def build_cooccurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     entries (the postings of its values, at most n), and each block's
     off-diagonal destinations and weights are written straight into the
     final arrays.  Those are made at the bound's total and cut to the edge
-    count at the end; pages past the last edge are never touched.
+    count at the end; pages past the last edge are never touched.  With
+    ``normalized``, each block's whole rows are normalized in place by
+    ``normalize``'s rule, so no full-length raw weights are ever made.
     """
     ids = repo.ids()
     n = len(ids)
@@ -371,6 +401,7 @@ def build_cooccurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices = np.empty(int(reach.sum()), dtype=np.int32)
     weights = np.empty(len(indices), dtype=np.float64)
+    cum = np.empty(len(indices), dtype=np.float64) if normalized else None
     for r0, r1 in _row_blocks(reach, _BLOCK_ENTRIES):
         # B·B[r0:r1]ᵀ is S's columns r0..r1, so, S being symmetric, its CSC
         # arrays are rows r0..r1 of S, each row's destinations ascending
@@ -388,10 +419,15 @@ def build_cooccurrence(repo: Repository, mu: str) -> AssociativeNetwork:
         np.add(weights[lo:hi], np.repeat(sizes[r0:r1], degree), out=weights[lo:hi])
         np.subtract(weights[lo:hi], co, out=weights[lo:hi])
         np.divide(co, weights[lo:hi], out=weights[lo:hi])
-    # cut in place: no view of either array outlives its statement above
-    indices.resize(indptr[-1], refcheck=False)
-    weights.resize(indptr[-1], refcheck=False)
-    return AssociativeNetwork(Relation(COOCCURRENCE, mu), ids, indptr, indices, weights)
+        if normalized:
+            _normalize_rows(ids, indptr[r0 : r1 + 1].tolist(), weights, weights, cum, r0)
+    # cut in place: no view of these arrays outlives its statement above
+    for column in (indices, weights, cum):
+        if column is not None:
+            column.resize(indptr[-1], refcheck=False)
+    return AssociativeNetwork(
+        Relation(COOCCURRENCE, mu), ids, indptr, indices, weights, normalized, cum=cum
+    )
 
 
 def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
@@ -402,27 +438,15 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     normalized is returned as it is.  A row total past the largest float is
     an error, as is a weight that the division takes to 0.
 
-    One pass over the rows makes the weights and the walk's running sums:
-    a row's running sum of its raw weights ends in its total, and one of its
-    normalized weights is its ``cum``.  Row by row, a row's three steps reuse
-    it while it is in cache.  The ids and CSR structure were checked when
-    ``net`` was made, so only the new weights are checked.
+    One pass over the rows, ``_normalize_rows``, makes the weights and the
+    walk's running sums; the builders normalize with the same rule while
+    they build.  The ids and CSR structure were checked when ``net`` was
+    made, so only the new weights are checked.
     """
     if net.normalized:
         return net
-    raw = net.weights
-    weights, cum = np.empty_like(raw), np.empty_like(raw)
-    bounds = net.indptr.tolist()
-    with np.errstate(over="ignore"):  # an overflowing row is reported by name
-        for node, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if lo < hi:
-                row_cum, row = cum[lo:hi], weights[lo:hi]
-                np.add.accumulate(raw[lo:hi], out=row_cum)
-                total = row_cum[-1]
-                if total == np.inf:
-                    raise ValueError(f"out-weights of {net.ids[node]!r} sum past the largest float")
-                np.divide(raw[lo:hi], total, out=row)
-                np.add.accumulate(row, out=row_cum)
+    weights, cum = np.empty_like(net.weights), np.empty_like(net.weights)
+    _normalize_rows(net.ids, net.indptr.tolist(), net.weights, weights, cum)
     if len(weights) and weights.min() == 0.0:  # an underflow: w / total is never negative
         raise ValueError(f"non-positive weight on {net._edge(int(np.argmin(weights)))}")
     out = copy.copy(net)

@@ -260,7 +260,8 @@ def _walk(
     net: AssociativeNetwork, cfg: PropagationConfig, payload: list, carriers_only: bool = False
 ):
     """The tick loop, over a normalized network with one particle per node,
-    node i's seeded by ``derive_seed(cfg.seed, net.ids[i])``.  ``payload`` lists
+    node i's seeded by ``derive_seed(cfg.seed, net.ids[i])``.  Of ``net`` it
+    reads only ``ids``, ``indptr``, ``indices`` and ``cum``.  ``payload`` lists
     each carried property as (receiver mask, ``netbuild.NumberedValues``): a
     live particle whose home holds the property and is not a receiver carries
     it, and deposits its home's values at each receiver it reaches.

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -319,10 +320,21 @@ class TestRunExperiment:
         # into each worker; Python 3.14 makes forkserver the Linux default
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method here")
+        # the module body runs in every worker too: each job there checks
+        # that the state it reads holds no network weights, and leaves a mark
         script = (
-            "import multiprocessing, sys\n"
+            "import multiprocessing, os, sys\n"
+            "from metaprop import evalharness\n"
             "from metaprop.evalharness import ExperimentConfig, run_experiment, save_results\n"
             "from metaprop.synthetic import two_cluster_corpus\n"
+            "run_cell_once = evalharness._run_cell_once\n"
+            "def checked(net, *rest):\n"
+            "    for held in evalharness._WORKER_STATE['networks'].values():\n"
+            "        assert type(held) is evalharness.WalkTables and not hasattr(held, 'weights')\n"
+            "    if multiprocessing.parent_process() is not None:\n"
+            "        open(os.path.join(os.environ['GRID_MARKS'], str(os.getpid())), 'w').close()\n"
+            "    return run_cell_once(net, *rest)\n"
+            "evalharness._run_cell_once = checked\n"
             "if __name__ == '__main__':\n"
             f"    multiprocessing.set_start_method({method!r}, force=True)\n"
             "    repo = two_cluster_corpus(n_records=300, seed=0)\n"
@@ -333,13 +345,42 @@ class TestRunExperiment:
         src = str(Path(evalharness.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         (tmp_path / "grid.py").write_text(script)
+        (tmp_path / "marks").mkdir()
         outputs = [tmp_path / "w1.tsv", tmp_path / "w2.tsv"]
         subprocess.run(
             [sys.executable, str(tmp_path / "grid.py"), *map(str, outputs)],
-            env={**os.environ, "PYTHONPATH": path}, check=True,
+            env={**os.environ, "PYTHONPATH": path, "GRID_MARKS": str(tmp_path / "marks")},
+            check=True,
         )
+        assert list((tmp_path / "marks").iterdir())  # jobs ran, and were checked, in workers
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
         assert len(load_results(outputs[0])) == 2 * 5 * 11
+
+    def test_grid_jobs_see_no_network_weights(self, monkeypatch):
+        # a job reads only what the walk reads; each network, weights and
+        # all, is gone before the first job runs, so no worker gets them
+        weights, seen = [], []
+        build, run_cell_once = build_relation_network, evalharness._run_cell_once
+
+        def build_and_watch(repo, label):
+            net = build(repo, label)
+            weights.append(weakref.ref(net.weights))
+            return net
+
+        def job(net, *rest):
+            seen.append((net, [ref() for ref in weights]))
+            return run_cell_once(net, *rest)
+
+        monkeypatch.setattr(evalharness, "build_relation_network", build_and_watch)
+        monkeypatch.setattr(evalharness, "_run_cell_once", job)
+        repo = two_cluster_corpus(n_records=20, seed=0)
+        cfg = _small_cfg(network_relations=("cokey", "coauth"))
+        result = run_experiment(repo, cfg, workers=1)
+        assert len(weights) == 2 and len(seen) == 4
+        for net, alive in seen:
+            assert type(net) is evalharness.WalkTables and not hasattr(net, "weights")
+            assert alive == [None, None]
+        assert result.rows and not result.errors
 
     def test_serial_grid_lets_its_networks_go(self):
         run_experiment(two_cluster_corpus(n_records=20, seed=0), _small_cfg(), workers=1)

@@ -90,6 +90,15 @@ def test_output_bytes_pinned(outputs, name):
     assert sha256(outputs / name) == PINS[name]
 
 
+@pytest.mark.parametrize("name, build", [
+    ("cokey-network", lambda: build_cooccurrence(partial_jour_corpus(), "key", normalized=True)),
+    ("cite-network", lambda: build_occurrence(cite_corpus(), "cite", normalized=True)),
+])
+def test_networks_normalized_in_the_build_save_the_pinned_bytes(tmp_path, name, build):
+    save_network(build(), tmp_path / name)
+    assert sha256(tmp_path / name) == PINS[name]
+
+
 @pytest.mark.parametrize("name", ["cokey-raw", "cokey-network", "cite-network"])
 def test_shuffled_edge_lines_load_to_equal_network(outputs, tmp_path, name):
     header, *body = (outputs / name).read_text().splitlines(keepends=True)

@@ -149,7 +149,8 @@ def test_bench_build_runs(capsys):
     assert set(report) == {
         "network", "python", "build_wall_s", "normalize_wall_s", "pairs_wall_s",
         "start_ru_maxrss_mib", "build_ru_maxrss_mib", "normalize_ru_maxrss_mib",
-        "pairs_ru_maxrss_mib", "arrays_sha256",
+        "pairs_ru_maxrss_mib", "arrays_sha256", "normalized_build_wall_s",
+        "normalized_build_ru_maxrss_mib", "normalized_sha256",
     }
     network = report["network"]
     assert network["records"] == 300 and network["edges"] > 0
@@ -158,6 +159,21 @@ def test_bench_build_runs(capsys):
     peaks = zip(*(report[f"{k}_ru_maxrss_mib"] for k in ("start", "build", "normalize", "pairs")))
     for start, build, normalized, pairs in peaks:
         assert start <= build <= normalized <= pairs
+
+
+def test_bench_build_rejects_a_normalized_build_that_differs():
+    main = _bench_main()
+    child = main.__globals__["_child"]
+
+    def child_building_other_arrays(child_argv, cwd):
+        out = child(child_argv, cwd)
+        if child_argv[-1] == "build_normalized":
+            out["normalized_sha256"] = "0" * 64
+        return out
+
+    main.__globals__["_child"] = child_building_other_arrays
+    with pytest.raises(SystemExit, match="^normalized_sha256 differs between processes"):
+        main(["build", *BENCH_ARGV])
 
 
 def test_bench_network_io_runs(capsys):
