@@ -50,11 +50,11 @@ def cmd_ingest(args) -> int:
 def cmd_build(args) -> int:
     repo = records.load_repository(args.repo)
     relation = netbuild.relation_for(repo, args.relation)
-    normalized = not args.no_normalize  # in the build; normalize then returns it as it is
+    normalized = not args.no_normalize  # co-occurrence: in the build, then normalize returns it
     if relation.kind == netbuild.COOCCURRENCE:
         net = netbuild.build_cooccurrence(repo, relation.mu, normalized=normalized)
     else:
-        net = netbuild.build_occurrence(repo, relation.mu, normalized=normalized)
+        net = netbuild.build_occurrence(repo, relation.mu)
     net = netbuild.require_edges(net)
     if normalized:
         net = netbuild.normalize(net)

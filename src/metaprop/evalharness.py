@@ -207,13 +207,14 @@ def f_score(pr: float, re: float) -> float:
 
 def build_relation_network(repo: Repository, label: str) -> AssociativeNetwork:
     """The normalized network for a relation label, checked by
-    ``relation_for`` and ``require_edges``.  The builder normalizes while it
-    builds; ``normalize`` then returns its network unchanged."""
+    ``relation_for`` and ``require_edges``.  ``build_cooccurrence``
+    normalizes while it builds, and ``normalize`` then returns its network
+    unchanged; an occurrence network is normalized by ``normalize``."""
     relation = relation_for(repo, label)
     if relation.kind == COOCCURRENCE:
         net = build_cooccurrence(repo, relation.mu, normalized=True)
     else:
-        net = build_occurrence(repo, relation.mu, normalized=True)
+        net = build_occurrence(repo, relation.mu)
     return normalize(require_edges(net))
 
 

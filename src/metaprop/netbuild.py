@@ -8,8 +8,8 @@ share property values, weighted by overlap:
     w(i, j) = |shared| / (|values_i| + |values_j| - |shared|)
 
 Outgoing weights can be normalized into per-node probability distributions
-for the particle walk, by ``normalize`` or, with the same floats, by a
-builder while it builds (``normalized=True``).
+for the particle walk, by ``normalize`` or, with the same floats, by
+``build_cooccurrence`` while it builds (``normalized=True``).
 
 A network is held in compressed sparse row (CSR) form over the sorted node
 ids: three numpy arrays give each row's start offset, the destination node
@@ -334,13 +334,12 @@ def numbered_values(records: Sequence[ResourceRecord], mu: str) -> NumberedValue
     return NumberedValues(sizes > 0, names, value_ptr, np.sort(base + numbers) - base)
 
 
-def build_occurrence(repo: Repository, mu: str, normalized: bool = False) -> AssociativeNetwork:
+def build_occurrence(repo: Repository, mu: str) -> AssociativeNetwork:
     """Network of direct references: each listed target gets weight
     1/|values|, where the denominator counts ALL listed values (including
     self-references and ids missing from the repository).  Self-loops are
     dropped; references to unknown ids are dropped but tallied in
-    ``dangling``.  With ``normalized``, rows are normalized in place by
-    ``normalize``'s rule, giving the same floats.
+    ``dangling``.
     """
     ids = repo.ids()
     n = len(ids)
@@ -356,14 +355,9 @@ def build_occurrence(repo: Repository, mu: str, normalized: bool = False) -> Ass
     listed = known[table.value_ids]
     kept = listed & (dst != src)
     src = src[kept]
-    indptr = np.searchsorted(src, np.arange(n + 1, dtype=src.dtype))
-    weights = 1.0 / sizes[src]
-    cum = np.empty_like(weights) if normalized else None
-    if normalized:
-        _normalize_rows(ids, indptr.tolist(), weights, weights, cum)
     return AssociativeNetwork(
-        Relation(OCCURRENCE, mu), ids, indptr, dst[kept], weights, normalized,
-        int(np.count_nonzero(~listed)), cum,
+        Relation(OCCURRENCE, mu), ids, np.searchsorted(src, np.arange(n + 1, dtype=src.dtype)),
+        dst[kept], 1.0 / sizes[src], dangling=int(np.count_nonzero(~listed)),
     )
 
 
@@ -439,8 +433,8 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     an error, as is a weight that the division takes to 0.
 
     One pass over the rows, ``_normalize_rows``, makes the weights and the
-    walk's running sums; the builders normalize with the same rule while
-    they build.  The ids and CSR structure were checked when ``net`` was
+    walk's running sums; ``build_cooccurrence`` normalizes with the same
+    rule while it builds.  The ids and CSR structure were checked when ``net`` was
     made, so only the new weights are checked.
     """
     if net.normalized:
