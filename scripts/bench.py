@@ -2,6 +2,7 @@
 """Time one layer of the pipeline on the co-keyword network of the two-cluster corpus.
 
     PYTHONPATH=src python scripts/bench.py {ingest,build,io,grid} [--records 5000] [--repeat 3]
+                                           [--workers 1]
 
 Every layer runs on ``two_cluster_corpus(N, seed=0)`` (made untimed) with the
 ``cokey`` relation, and each repeat runs each of its steps in a fresh process
@@ -11,12 +12,14 @@ that record file in another, which writes what it loaded back out, untimed,
 so that both processes report the digest of the same bytes.  ``build`` times
 ``build_cooccurrence``, ``normalize`` and then ``pair_count`` with the raw
 network dropped, reading the peak before the first and after each; then, in
-a second process, ``build_cooccurrence(..., normalized=True)``, as the grid
-and ``build-network`` build, and the peak after it.  Both processes digest
+a second process, ``build_cooccurrence(..., normalized=True)``, as
+``build-network`` builds, and the peak after it.  Both processes digest
 the normalized arrays, which must agree.  ``io`` times ``save_network`` in
 one process and ``load_network`` of that file in another.  ``grid`` times
 ``run_experiment`` (network build included) over the default densities and
-percentiles, ``jour`` as the target, 2 runs each, one worker.  Prints one
+percentiles, ``jour`` as the target, 2 runs each, on ``--workers`` worker
+processes (one by default), and reads the largest reaped worker's peak as
+well as its own.  Prints one
 JSON object with the keys of the layer's ``BENCH_*.json`` record: every
 process's wall times and peaks, and each other value once.  Those values
 (digests, edge and error counts) must agree between processes, and a loaded
@@ -43,8 +46,8 @@ NETWORK, RESULTS = "network.tsv", "results.tsv"
 RECORDS, RESAVED = "records.jsonl", "resaved.jsonl"
 
 
-def _peak_mib() -> float:
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+def _peak_mib(who=resource.RUSAGE_SELF) -> float:
+    return round(resource.getrusage(who).ru_maxrss / 1024.0, 1)
 
 
 def _timed(fn, *args, **kwargs):
@@ -157,19 +160,21 @@ def _load(records: int) -> dict:
     return {"load_wall_s": wall, "load_ru_maxrss_mib": _peak_mib(), "arrays_sha256": _saved_sha256(net)}
 
 
-def _grid(records: int) -> dict:
+def _grid(records: int, workers: int) -> dict:
     from metaprop.evalharness import ExperimentConfig, run_experiment, save_results
     from metaprop.synthetic import two_cluster_corpus
 
     repo = two_cluster_corpus(records, seed=0)
     cfg = ExperimentConfig(network_relations=("cokey",), target_properties=("jour",), runs=2)
-    result, wall = _timed(run_experiment, repo, cfg, workers=1)
+    result, wall = _timed(run_experiment, repo, cfg, workers=workers)
     save_results(result.rows, RESULTS)
     return {
         "grid": {"records": records, "relation": "cokey", "target": "jour",
                  "densities": list(cfg.densities), "percentiles": list(cfg.percentiles),
-                 "runs": cfg.runs, "workers": 1, "jobs": len(cfg.densities) * cfg.runs},
+                 "runs": cfg.runs, "workers": workers, "jobs": len(cfg.densities) * cfg.runs},
         "wall_s": wall, "ru_maxrss_mib": _peak_mib(),
+        # the pool's workers are reaped when run_experiment returns; 0.0 with one worker
+        "children_ru_maxrss_mib": _peak_mib(resource.RUSAGE_CHILDREN),
         "results_sha256": _file_sha256(RESULTS), "errors": len(result.errors),
     }
 
@@ -200,16 +205,19 @@ def main(argv=None) -> int:
     parser.add_argument("layer", choices=LAYERS)
     parser.add_argument("--records", type=int, default=5000)
     parser.add_argument("--repeat", type=int, default=3, help="processes to time per step")
+    parser.add_argument("--workers", type=int, default=1, help="grid worker processes (grid only)")
     parser.add_argument("--child", choices=STEPS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(STEPS[args.child](args.records)))
+        options = {"workers": args.workers} if args.child == "grid" else {}
+        print(json.dumps(STEPS[args.child](args.records, **options)))
         return 0
     report = {}  # key -> its value in every process, in run order
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(args.repeat):
             for step in LAYERS[args.layer]:
-                argv = [args.layer, "--records", str(args.records), "--child", step]
+                argv = [args.layer, "--records", str(args.records), "--workers", str(args.workers),
+                        "--child", step]
                 for key, value in _child(argv, tmp).items():
                     report.setdefault(key, []).append(value)
     for key, seen in report.items():

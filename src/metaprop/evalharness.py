@@ -4,7 +4,10 @@ percentile, and score precision/recall/F against the removed ground truth
 over a (density x percentile) grid averaged across repeated runs.
 
 ``kill_meta``, ``swarm.propagate`` and ``accept_meta`` define what a grid job
-scores.  The job does the same work once per run: the target property's
+scores.  The grid builds each network's walk arrays directly, by
+``netbuild.walk_tables``, never a full co-occurrence network; ``build_relation_network``
+remains only for a traced grid that runs the jobs' definition step by step.
+The job does the same work once per run: the target property's
 holders and values are numbered once per grid by ``netbuild.numbered_values``,
 atrophy is a mask over node numbers, one ``swarm._walk`` call carries only
 the target property from the nodes that keep it to the atrophied ones and
@@ -22,7 +25,7 @@ import random
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .netbuild import (
     COOCCURRENCE,
     AssociativeNetwork,
     NumberedValues,
+    WalkTables,
     build_cooccurrence,
     build_occurrence,
     normalize,
@@ -37,6 +41,7 @@ from .netbuild import (
     parse_relation,
     relation_for,
     require_edges,
+    walk_tables,
 )
 from .records import Repository, ResourceRecord, _check_token, _dump_fields
 from .swarm import PropagationConfig, RecommendationStore, _sequential_sum, _walk, derive_seed
@@ -209,29 +214,17 @@ def build_relation_network(repo: Repository, label: str) -> AssociativeNetwork:
     """The normalized network for a relation label, checked by
     ``relation_for`` and ``require_edges``.  ``build_cooccurrence``
     normalizes while it builds, and ``normalize`` then returns its network
-    unchanged; an occurrence network is normalized by ``normalize``."""
+    unchanged; an occurrence network is normalized by ``normalize``.
+
+    The grid does not call this: ``run_experiment`` builds only the walk's
+    arrays, by ``netbuild.walk_tables``, which gives this network's arrays
+    and errors.  It remains for callers that trace a grid step by step."""
     relation = relation_for(repo, label)
     if relation.kind == COOCCURRENCE:
         net = build_cooccurrence(repo, relation.mu, normalized=True)
     else:
         net = build_occurrence(repo, relation.mu)
     return normalize(require_edges(net))
-
-
-class WalkTables(NamedTuple):
-    """What a grid job reads of a normalized network: the arrays that
-    ``swarm._walk`` reads, without ``weights``, and the relation's property."""
-
-    ids: Tuple[str, ...]
-    indptr: np.ndarray
-    indices: np.ndarray
-    cum: np.ndarray
-    mu: str
-
-
-def _walk_tables(net: AssociativeNetwork) -> WalkTables:
-    """References to ``net``'s walk arrays, not copies."""
-    return WalkTables(net.ids, net.indptr, net.indices, net.cum, net.relation.mu)
 
 
 def _run_cell_once(
@@ -327,9 +320,9 @@ def _outcome(future: Future):
 
 def run_experiment(repo: Repository, cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Full grid: for each (mu_y, mu_x, density, run), atrophy and propagate
-    once, then score every percentile.  Networks are built once per mu_y
-    from the full repository; only their ``WalkTables`` are kept, so no
-    worker holds a network's ``weights``.  Results are independent of
+    once, then score every percentile.  Each mu_y's ``WalkTables`` are
+    built once from the full repository, by ``walk_tables``, so no full
+    weights array is made and no worker holds one.  Results are independent of
     ``workers``.  A network that fails to build, a job that raises ValueError, and a job
     whose worker process dies or that is submitted after one died are each
     reported as ``CellError``s; any other exception in a job raises.  A
@@ -350,8 +343,7 @@ def run_experiment(repo: Repository, cfg: ExperimentConfig, workers: int = 1) ->
     errors: List[CellError] = []
     for mu_y in cfg.network_relations:
         try:
-            # no name keeps the network: its weights are freed before the pool starts
-            networks[mu_y] = _walk_tables(build_relation_network(repo, mu_y))
+            networks[mu_y] = walk_tables(repo, mu_y)
         except ValueError as exc:
             for mu_x in cfg.target_properties:
                 for density in cfg.densities:

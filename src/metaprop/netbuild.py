@@ -9,7 +9,10 @@ share property values, weighted by overlap:
 
 Outgoing weights can be normalized into per-node probability distributions
 for the particle walk, by ``normalize`` or, with the same floats, by
-``build_cooccurrence`` while it builds (``normalized=True``).
+``build_cooccurrence`` while it builds (``normalized=True``).  The walk reads
+only each row's running sums, so the evaluation grid builds just those and
+the structure, by ``walk_tables``: a co-occurrence network's weights are then
+made, checked and dropped one block of rows at a time.
 
 A network is held in compressed sparse row (CSR) form over the sorted node
 ids: three numpy arrays give each row's start offset, the destination node
@@ -168,6 +171,65 @@ def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return cum
 
 
+_FAULTS = ("self-loop on", "NaN weight on", "non-positive weight on", "infinite weight on", "order")
+
+
+def _scan_edges(faults: Dict[str, int], indptr, indices, weights, r0: int, r1: int) -> None:
+    """Record in ``faults`` the first edge of each kind of fault in rows
+    r0..r1 that it does not hold yet; ``weights`` are those rows' weights
+    alone, so a block's weights may be scratch that is dropped after."""
+    lo, hi = int(indptr[r0]), int(indptr[r1])
+    src = np.repeat(np.arange(r0, r1, dtype=np.int32), np.diff(indptr[r0 : r1 + 1]))
+    dst = indices[lo:hi]
+    # an edge whose destination does not rise over the one before it in the
+    # same row (blocks hold whole rows)
+    order = (np.diff(dst) <= 0) & (src[1:] == src[:-1])
+    for kind, bad, at in zip(
+        _FAULTS,
+        (dst == src, np.isnan(weights), ~(weights > 0.0), weights == np.inf, order),
+        (lo, lo, lo, lo, lo + 1),
+    ):
+        if kind not in faults:
+            hit = np.flatnonzero(bad)
+            if hit.size:
+                faults[kind] = at + int(hit[0])
+
+
+def _check_csr(ids, indptr, indices, weights_shape) -> None:
+    """Raise ValueError on unsorted or repeated ids, malformed CSR arrays
+    (weights of another shape than the indices among them) or an edge
+    target outside the nodes."""
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("node ids must be sorted and distinct")
+    if (
+        indptr.shape != (len(ids) + 1,)
+        or indptr[0] != 0
+        or indptr[-1] != len(indices)
+        or weights_shape != indices.shape
+        or np.any(np.diff(indptr) < 0)
+    ):
+        raise ValueError("malformed CSR arrays")
+    if len(indices) and (indices.min() < 0 or indices.max() >= len(ids)):
+        raise ValueError("edge target not in node set")
+
+
+def _raise_fault(faults: Dict[str, int], ids, indptr, indices) -> None:
+    """Raise ValueError on the first edge of the highest-ranked kind in
+    ``faults``, as ``_scan_edges`` gathered them, if any."""
+    for kind in _FAULTS:
+        if kind in faults:
+            k = faults[kind]
+            if kind == "order":
+                kind = "duplicate edge" if indices[k] == indices[k - 1] else "unsorted row at"
+            raise ValueError(f"{kind} {_edge(ids, indptr, indices, k)}")
+
+
+def _edge(ids, indptr, indices, k: int) -> str:
+    """Edge k as the text "('src', 'dst')"."""
+    src = int(np.searchsorted(indptr, k, side="right")) - 1
+    return f"({ids[src]!r}, {ids[indices[k]]!r})"
+
+
 class AssociativeNetwork:
     """Directed weighted graph over resource ids, immutable once built.
 
@@ -216,49 +278,11 @@ class AssociativeNetwork:
         infinite weights, then duplicate or unsorted edges.  The edge checks
         run in blocks of rows, so they need no full-length temporaries."""
         ids, indptr, indices, weights = self.ids, self.indptr, self.indices, self.weights
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise ValueError("node ids must be sorted and distinct")
-        if (
-            indptr.shape != (len(ids) + 1,)
-            or indptr[0] != 0
-            or indptr[-1] != len(indices)
-            or weights.shape != indices.shape
-            or np.any(np.diff(indptr) < 0)
-        ):
-            raise ValueError("malformed CSR arrays")
-        if len(indices) and (indices.min() < 0 or indices.max() >= len(ids)):
-            raise ValueError("edge target not in node set")
-        kinds = (
-            "self-loop on", "NaN weight on", "non-positive weight on", "infinite weight on", "order"
-        )
-        first = {}  # kind -> its first faulty edge
+        _check_csr(ids, indptr, indices, weights.shape)
+        faults: Dict[str, int] = {}
         for r0, r1 in _row_blocks(np.diff(indptr), _BLOCK_ENTRIES):
-            lo, hi = int(indptr[r0]), int(indptr[r1])
-            src = np.repeat(np.arange(r0, r1, dtype=np.int32), np.diff(indptr[r0 : r1 + 1]))
-            dst, w = indices[lo:hi], weights[lo:hi]
-            # an edge whose destination does not rise over the one before it
-            # in the same row (blocks hold whole rows)
-            order = (np.diff(dst) <= 0) & (src[1:] == src[:-1])
-            for kind, bad, at in zip(
-                kinds,
-                (dst == src, np.isnan(w), ~(w > 0.0), w == np.inf, order),
-                (lo, lo, lo, lo, lo + 1),
-            ):
-                if kind not in first:
-                    hit = np.flatnonzero(bad)
-                    if hit.size:
-                        first[kind] = at + int(hit[0])
-        for kind in kinds:
-            if kind in first:
-                k = first[kind]
-                if kind == "order":
-                    kind = "duplicate edge" if indices[k] == indices[k - 1] else "unsorted row at"
-                raise ValueError(f"{kind} {self._edge(k)}")
-
-    def _edge(self, k: int) -> str:
-        """Edge k as the text "('src', 'dst')"."""
-        src = int(np.searchsorted(self.indptr, k, side="right")) - 1
-        return f"({self.ids[src]!r}, {self.ids[self.indices[k]]!r})"
+            _scan_edges(faults, indptr, indices, weights[indptr[r0] : indptr[r1]], r0, r1)
+        _raise_fault(faults, ids, indptr, indices)
 
     def _row(self, node: str) -> Tuple[int, int]:
         i = bisect_left(self.ids, node)
@@ -369,13 +393,30 @@ def build_cooccurrence(repo: Repository, mu: str, normalized: bool = False) -> A
     nonempty value intersection of size c, both directed edges get weight
     c / (|values_i| + |values_j| - c), from exact integer counts.
 
+    With ``normalized``, each block's whole rows are normalized in place by
+    ``normalize``'s rule, so no full-length raw weights are ever made.
+    """
+    ids, indptr, indices, weights, cum = _cooccurrence(repo, mu, normalized, keep_weights=True)
+    return AssociativeNetwork(
+        Relation(COOCCURRENCE, mu), ids, indptr, indices, weights, normalized, cum=cum
+    )
+
+
+def _cooccurrence(repo: Repository, mu: str, normalized: bool, keep_weights: bool):
+    """The arrays of ``build_cooccurrence``'s network: ids, ``indptr``,
+    ``indices``, then ``weights`` (None unless ``keep_weights``) and ``cum``
+    (None unless ``normalized``).
+
     S is made in blocks of rows, chosen from an upper bound on each row's
     entries (the postings of its values, at most n), and each block's
-    off-diagonal destinations and weights are written straight into the
-    final arrays.  Those are made at the bound's total and cut to the edge
-    count at the end; pages past the last edge are never touched.  With
-    ``normalized``, each block's whole rows are normalized in place by
-    ``normalize``'s rule, so no full-length raw weights are ever made.
+    off-diagonal destinations are written straight into the final arrays.
+    Those are made at the bound's total and cut to the edge count at the
+    end; pages past the last edge are never touched.  Each block's weights
+    are made in the final weights array, or, without ``keep_weights``, in a
+    block-sized scratch array.  Scratch weights are normalized, scanned for
+    the faults the ``AssociativeNetwork`` constructor rejects and dropped;
+    after the last block the first fault is raised with the constructor's
+    message.
     """
     ids = repo.ids()
     n = len(ids)
@@ -394,8 +435,9 @@ def build_cooccurrence(repo: Repository, mu: str, normalized: bool = False) -> A
     del postings, cols
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices = np.empty(int(reach.sum()), dtype=np.int32)
-    weights = np.empty(len(indices), dtype=np.float64)
+    weights = np.empty(len(indices), dtype=np.float64) if keep_weights else None
     cum = np.empty(len(indices), dtype=np.float64) if normalized else None
+    faults: Dict[str, int] = {}
     for r0, r1 in _row_blocks(reach, _BLOCK_ENTRIES):
         # B·B[r0:r1]ᵀ is S's columns r0..r1, so, S being symmetric, its CSC
         # arrays are rows r0..r1 of S, each row's destinations ascending
@@ -408,20 +450,62 @@ def build_cooccurrence(repo: Repository, mu: str, normalized: bool = False) -> A
         lo, hi = indptr[r0], indptr[r1]
         np.compress(off_diagonal, block.indices, out=indices[lo:hi])
         co = block.data[off_diagonal]
+        del block, src, off_diagonal
         # co / (|values_i| + |values_j| - co), made in place in the weights
-        np.take(sizes, indices[lo:hi], out=weights[lo:hi])
-        np.add(weights[lo:hi], np.repeat(sizes[r0:r1], degree), out=weights[lo:hi])
-        np.subtract(weights[lo:hi], co, out=weights[lo:hi])
-        np.divide(co, weights[lo:hi], out=weights[lo:hi])
+        w = weights[lo:hi] if keep_weights else np.empty(hi - lo, dtype=np.float64)
+        np.take(sizes, indices[lo:hi], out=w)
+        np.add(w, np.repeat(sizes[r0:r1], degree), out=w)
+        np.subtract(w, co, out=w)
+        np.divide(co, w, out=w)
         if normalized:
-            _normalize_rows(ids, indptr[r0 : r1 + 1].tolist(), weights, weights, cum, r0)
-    # cut in place: no view of these arrays outlives its statement above
+            _normalize_rows(ids, (indptr[r0 : r1 + 1] - lo).tolist(), w, w, cum[lo:hi], r0)
+        if not keep_weights:
+            _scan_edges(faults, indptr, indices, w, r0, r1)
+        del w  # scratch goes before the next block's; no view outlives the cut below
     for column in (indices, weights, cum):
         if column is not None:
             column.resize(indptr[-1], refcheck=False)
-    return AssociativeNetwork(
-        Relation(COOCCURRENCE, mu), ids, indptr, indices, weights, normalized, cum=cum
+    if not keep_weights:
+        _check_csr(ids, indptr, indices, cum.shape)
+        _raise_fault(faults, ids, indptr, indices)
+    return ids, indptr, indices, weights, cum
+
+
+class WalkTables(NamedTuple):
+    """What a walk reads of a normalized network: its ids, ``indptr``,
+    ``indices`` and ``cum``, without ``weights``, and the relation's
+    property."""
+
+    ids: Tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    cum: np.ndarray
+    mu: str
+
+
+def _walk_tables(net: AssociativeNetwork) -> WalkTables:
+    """References to normalized ``net``'s walk arrays, not copies."""
+    return WalkTables(net.ids, net.indptr, net.indices, net.cum, net.relation.mu)
+
+
+def walk_tables(repo: Repository, label: str) -> WalkTables:
+    """The walk's arrays of the normalized network for a relation label,
+    checked as ``relation_for`` and ``require_edges`` check it.
+
+    A co-occurrence network's weights are made one block of rows at a time
+    and dropped once that block's ``cum`` is written and its edges checked,
+    so no full-length weights array is ever made; the arrays and every
+    error are those of the full build.  An occurrence network is built,
+    normalized and then let go of its weights."""
+    relation = relation_for(repo, label)
+    if relation.kind == OCCURRENCE:
+        return _walk_tables(normalize(require_edges(build_occurrence(repo, relation.mu))))
+    ids, indptr, indices, _, cum = _cooccurrence(
+        repo, relation.mu, normalized=True, keep_weights=False
     )
+    for column in (indptr, indices, cum):
+        column.flags.writeable = False
+    return WalkTables(tuple(ids), indptr, indices, cum, relation.mu)
 
 
 def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
@@ -442,7 +526,8 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     weights, cum = np.empty_like(net.weights), np.empty_like(net.weights)
     _normalize_rows(net.ids, net.indptr.tolist(), net.weights, weights, cum)
     if len(weights) and weights.min() == 0.0:  # an underflow: w / total is never negative
-        raise ValueError(f"non-positive weight on {net._edge(int(np.argmin(weights)))}")
+        k = int(np.argmin(weights))
+        raise ValueError(f"non-positive weight on {_edge(net.ids, net.indptr, net.indices, k)}")
     out = copy.copy(net)
     out.weights, out.cum, out.normalized = weights, cum, True
     out._freeze()

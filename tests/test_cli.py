@@ -361,7 +361,7 @@ class TestExperiment:
     def test_workers_below_one_is_an_error(self, tmp_path, capsys, monkeypatch):
         # it used to run the grid serially and exit 0
         built = []
-        monkeypatch.setattr(evalharness, "build_relation_network", lambda *a: built.append(a))
+        monkeypatch.setattr(evalharness, "walk_tables", lambda *a: built.append(a))
         results = tmp_path / "results.tsv"
         assert_one_error(
             capsys,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaprop import evalharness, swarm
+from metaprop import evalharness, netbuild, swarm
 from metaprop.evalharness import (
     RESULTS_HEADER,
     CellError,
@@ -302,7 +302,7 @@ class TestRunExperiment:
     def test_unknown_target_property_is_an_error(self, monkeypatch):
         # it used to give a full grid of rows scoring 0 over 0 nodes
         built = []
-        monkeypatch.setattr(evalharness, "build_relation_network", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(evalharness, "walk_tables", lambda *a, **k: built.append(a))
         repo = two_cluster_corpus(n_records=20, seed=0)
         message = "no property 'nosuch' in repository; its property types: auth, jour, key"
         with pytest.raises(ValueError, match=message):
@@ -357,29 +357,37 @@ class TestRunExperiment:
         assert len(load_results(outputs[0])) == 2 * 5 * 11
 
     def test_grid_jobs_see_no_network_weights(self, monkeypatch):
-        # a job reads only what the walk reads; each network, weights and
-        # all, is gone before the first job runs, so no worker gets them
-        weights, seen = [], []
-        build, run_cell_once = build_relation_network, evalharness._run_cell_once
+        # a job reads only what the walk reads; each network's weights, made
+        # one block of rows at a time, are gone before the first job runs,
+        # so no worker gets them
+        weights, blocks, seen = [], [], []  # weights: each build's block weights
+        build, run_cell_once = evalharness.walk_tables, evalharness._run_cell_once
+        normalize_rows = netbuild._normalize_rows
+
+        def normalize_and_watch(ids, bounds, raw, block_weights, *rest):
+            normalize_rows(ids, bounds, raw, block_weights, *rest)
+            blocks.append(weakref.ref(block_weights))
 
         def build_and_watch(repo, label):
-            net = build(repo, label)
-            weights.append(weakref.ref(net.weights))
-            return net
+            tables = build(repo, label)
+            weights.append(blocks[:])
+            blocks.clear()
+            return tables
 
         def job(net, *rest):
-            seen.append((net, [ref() for ref in weights]))
+            seen.append((net, [ref() for refs in weights for ref in refs]))
             return run_cell_once(net, *rest)
 
-        monkeypatch.setattr(evalharness, "build_relation_network", build_and_watch)
+        monkeypatch.setattr(netbuild, "_normalize_rows", normalize_and_watch)
+        monkeypatch.setattr(evalharness, "walk_tables", build_and_watch)
         monkeypatch.setattr(evalharness, "_run_cell_once", job)
         repo = two_cluster_corpus(n_records=20, seed=0)
         cfg = _small_cfg(network_relations=("cokey", "coauth"))
         result = run_experiment(repo, cfg, workers=1)
-        assert len(weights) == 2 and len(seen) == 4
+        assert len(weights) == 2 and all(weights) and len(seen) == 4
         for net, alive in seen:
             assert type(net) is evalharness.WalkTables and not hasattr(net, "weights")
-            assert alive == [None, None]
+            assert alive and alive == [None] * len(alive)
         assert result.rows and not result.errors
 
     def test_serial_grid_lets_its_networks_go(self):

@@ -1,7 +1,9 @@
 import contextlib
+import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +27,11 @@ from metaprop.netbuild import (
     relation_for,
     require_edges,
     save_network,
+    walk_tables,
 )
+from metaprop.evalharness import build_relation_network
 from metaprop.records import Repository, make_record
+from metaprop.synthetic import two_cluster_corpus
 
 from corpora import brute_force_cooccurrence, edge_dict, edge_list, random_repository
 
@@ -1009,3 +1014,108 @@ def test_network_is_checked_once(monkeypatch):
     assert calls == [raw]
     assert normed.indices is raw.indices and not normed.weights.flags.writeable
     assert not normed.cum.flags.writeable
+
+
+def full_walk_tables(repo, label):
+    """The walk tables of the full normalized network, weights and all."""
+    return netbuild._walk_tables(build_relation_network(repo, label))
+
+
+def walk_outcome(build, repo, label):
+    """What ``build`` gives for ``label``: the walk tables, their arrays as
+    dtype and bytes, or the type and text of the error it raises."""
+    try:
+        tables = build(repo, label)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    arrays = tables.indptr, tables.indices, tables.cum
+    assert not any(column.flags.writeable for column in arrays)
+    return tables.ids, tables.mu, [(column.dtype, column.tobytes()) for column in arrays]
+
+
+class TestWalkTables:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(), st.sampled_from([0.0, 0.05, 0.3]),
+        st.sampled_from(BLOCK_SIZES), st.sampled_from(["cokey", "coauth", "cite", "co:cite"]),
+    )
+    def test_same_arrays_as_the_full_build(self, n, seed, cite_rate, block_entries, label):
+        # without citations there is no cite property, so both refuse its labels alike
+        repo = random_repository(n, seed=seed, vocab_size=8, cite_rate=cite_rate)
+        with blocks_of(block_entries):
+            assert walk_outcome(walk_tables, repo, label) == walk_outcome(
+                full_walk_tables, repo, label
+            )
+
+    @pytest.mark.parametrize("label, cites, message", [
+        ("co", ["b"], "unknown relation label: 'co'; valid labels: cite, cocite"),
+        ("cokeys", ["b"], "no property 'keys' in repository; valid labels: cite, cocite"),
+        ("cite", ["a", "ghost"], "occurrence relation 'cite' produced no edges"),
+    ])
+    def test_same_errors_as_the_full_build(self, label, cites, message):
+        repo = Repository([make_record("a", {"cite": cites}), make_record("b", {})])
+        outcome = walk_outcome(walk_tables, repo, label)
+        assert outcome == walk_outcome(full_walk_tables, repo, label)
+        assert outcome[0] is RelationError and outcome[1].startswith(message)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 25), st.integers(), st.sampled_from(BLOCK_SIZES),
+        st.lists(
+            st.tuples(
+                st.integers(0, 8), st.integers(0, 10**6),
+                st.sampled_from([math.nan, 0.0, -1.0, math.inf]),
+            ),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_a_fault_in_the_block_weights_gets_the_constructors_message(
+        self, n, seed, block_entries, injections
+    ):
+        # each injection writes a bad weight into one block's normalized
+        # weights, picked by the block's call number and an offset; both
+        # builds make the same blocks, so they are hit at the same edges
+        repo = random_repository(n, seed=seed, vocab_size=6)
+        landed = []
+
+        def faulty():
+            normalize_rows, calls = netbuild._normalize_rows, itertools.count()
+
+            def inject(ids, bounds, raw, weights, *rest):
+                normalize_rows(ids, bounds, raw, weights, *rest)
+                call = next(calls)
+                for at_call, at, value in injections:
+                    if at_call == call and len(weights):
+                        weights[at % len(weights)] = value
+                        landed.append(value)
+
+            return inject
+
+        outcomes = []
+        for build in (full_walk_tables, walk_tables):
+            with blocks_of(block_entries), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(netbuild, "_normalize_rows", faulty())
+                outcomes.append(walk_outcome(build, repo, "cokey"))
+        assert outcomes[0] == outcomes[1]
+        if landed:
+            kinds = ("NaN weight on", "non-positive weight on", "infinite weight on")
+            assert outcomes[0][0] is ValueError and outcomes[0][1].startswith(kinds)
+
+
+def test_walk_tables_make_no_full_weights_array():
+    # the full build's peak holds the weights of every edge; walk_tables
+    # holds one block's at most
+    repo = two_cluster_corpus(n_records=3000, seed=0)
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    edges = len(walk_tables(repo, "cokey").indices)
+    full = peak(lambda: build_cooccurrence(repo, "key", normalized=True))
+    walk = peak(lambda: walk_tables(repo, "cokey"))
+    assert full - walk >= 8 * (edges - netbuild._BLOCK_ENTRIES) > 0

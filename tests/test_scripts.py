@@ -120,10 +120,10 @@ def _bench_main():
     return runpy.run_path(str(SCRIPTS / "bench.py"))["main"]
 
 
-def _report(layer, capsys):
+def _report(layer, capsys, *options):
     # the script exits if any value but a wall time or a peak differs
     # between processes, so each digest it prints is one they agree on
-    assert _bench_main()([layer, *BENCH_ARGV]) == 0
+    assert _bench_main()([layer, *BENCH_ARGV, *options]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     for key, value in report.items():
         if key.endswith(("wall_s", "ru_maxrss_mib")):
@@ -203,7 +203,15 @@ def test_bench_network_io_rejects_a_loaded_network_that_differs():
 
 
 def test_bench_grid_runs(capsys):
-    report = _report("grid", capsys)
-    assert set(report) == {"grid", "python", "wall_s", "ru_maxrss_mib", "results_sha256", "errors"}
+    # two workers, so each process reaps workers whose peak it reports
+    report = _report("grid", capsys, "--workers", "2")
+    assert set(report) == {
+        "grid", "python", "wall_s", "ru_maxrss_mib", "children_ru_maxrss_mib",
+        "results_sha256", "errors",
+    }
     assert report["grid"]["records"] == 300 and report["grid"]["jobs"] == 10
-    assert report["errors"] == 0
+    assert report["grid"]["workers"] == 2 and report["errors"] == 0
+    assert _bench_main()(["grid", "--records", "300", "--repeat", "1"]) == 0
+    serial = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert serial["grid"]["workers"] == 1 and serial["children_ru_maxrss_mib"] == [0.0]
+    assert serial["results_sha256"] == report["results_sha256"]
