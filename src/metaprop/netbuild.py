@@ -22,7 +22,7 @@ numbers and the weights.
 from __future__ import annotations
 
 import copy
-from array import array
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
@@ -762,10 +762,19 @@ def _raise_bad_weight(block: str, source, line_no: int) -> None:
                 ) from exc
 
 
-def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
-    """Parse the body of a network file into compact buffers: node ids with
-    provisional numbers (to be renumbered by sorted id), and each edge's
-    source number, destination number and weight in flat typed arrays.
+def _read_body(
+    fh, source, capacity: int
+) -> Tuple[Dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """Parse the body of a network file into node ids with provisional
+    numbers (to be renumbered by sorted id), and each edge's source number,
+    destination number and weight in three columns: int32, int32 and
+    float64.
+
+    The columns are allocated once, ``capacity`` edges long, and each block
+    is parsed straight into them; they grow only when the body holds more
+    edges than that, so a header that understates its count still reads to
+    the end and is reported with the counts found.  The columns returned
+    are views of the edges read.
 
     The text is read in blocks, each as numpy arrays of its UTF-8 bytes.
     _fields bounds and sorts every field of a block and rejects a bad line;
@@ -776,7 +785,8 @@ def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
     ids: Dict[str, int] = {}
     nodes = _FieldTable(np.int32, lambda node: ids.setdefault(node, len(ids)))
     texts = _FieldTable(np.float64, float.fromhex)
-    srcs, dsts, weights = array("i"), array("i"), array("d")
+    columns = [np.empty(capacity, np.int32), np.empty(capacity, np.int32), np.empty(capacity)]
+    edges = 0
     line_no = 2
     for block in _blocks(fh):
         data = _utf8(block, source, line_no)
@@ -789,12 +799,15 @@ def _read_body(fh, source) -> Tuple[Dict[str, int], array, array, array]:
             _raise_bad_weight(block, source, line_no)
             raise
         n = len(weight)
+        if edges + n > len(columns[0]):  # the header understated its count (or a pipe's size)
+            size = max(edges + n, 2 * len(columns[0]))
+            columns = [np.concatenate((c[:edges], np.empty(size - edges, c.dtype))) for c in columns]
         endpoints = node[len(node) - 2 * n :]  # past the isolated nodes
-        srcs.frombytes(memoryview(endpoints[:n]).cast("B"))
-        dsts.frombytes(memoryview(endpoints[n:]).cast("B"))
-        weights.frombytes(memoryview(weight).cast("B"))
+        for column, part in zip(columns, (endpoints[:n], endpoints[n:], weight)):
+            column[edges : edges + n] = part
+        edges += n
         line_no += n_lines
-    return ids, srcs, dsts, weights
+    return (ids, *(column[:edges] for column in columns))
 
 
 def _ascending(src: np.ndarray, dst: np.ndarray) -> bool:
@@ -816,10 +829,18 @@ def load_network(source) -> AssociativeNetwork:
     lines, duplicate edges, self-loops, weights that are not finite and
     positive, counts that disagree with the header, and a normalized flag on
     rows that do not sum to 1 (within 1e-9) raise NetworkFormatError.
+
+    The edges are parsed into columns sized once from the header's edge
+    count, capped at the edge lines the file's size can hold, so a header
+    that overstates its count allocates no more than that.  The ids are
+    renumbered in place a block at a time, and the source column is freed
+    once the row offsets are made from it, before the network sums its
+    ``cum``: the load holds no more than the network it returns, plus
+    block-sized scratch (and, for a file out of order, its sort).
     """
     with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
-        _utf8(header, source, 1)
+        header_bytes = len(_utf8(header, source, 1))
         if not header.strip():
             raise NetworkFormatError(f"{source}:1", "missing header line")
         fields = header.rstrip("\n").split("\t")
@@ -843,7 +864,10 @@ def load_network(source) -> AssociativeNetwork:
             )
         if dangling < 0:
             raise NetworkFormatError(f"{source}:1", f"negative dangling count {dangling}")
-        seen, srcs, dsts, weights = _read_body(fh, source)
+        # an edge line holds at least 6 bytes ("a\tb\t1\n"), the last one 5
+        body_bytes = os.fstat(fh.fileno()).st_size - header_bytes
+        capacity = max(0, min(edge_count, (body_bytes + 1) // 6))
+        seen, src, dst, weights = _read_body(fh, source, capacity)
     if len(seen) != node_count or len(weights) != edge_count:
         raise NetworkFormatError(
             str(source),
@@ -853,10 +877,11 @@ def load_network(source) -> AssociativeNetwork:
     ids = sorted(seen)
     rank = np.empty(len(ids), dtype=np.int32)
     rank[[seen[node] for node in ids]] = np.arange(len(ids), dtype=np.int32)
-    src = rank[np.frombuffer(srcs, dtype=np.int32)]
-    dst = rank[np.frombuffer(dsts, dtype=np.int32)]
-    del srcs, dsts  # a sort below is load's memory peak; keep only what it needs
-    weights = np.frombuffer(weights)
+    del seen
+    for lo in range(0, len(src), _BLOCK_ENTRIES):  # in place: rank[src] is a second column
+        for column in (src, dst):
+            block = column[lo : lo + _BLOCK_ENTRIES]
+            block[:] = rank.take(block)
     if not _ascending(src, dst):  # save_network writes every file in order
         # stable sort by (src, dst)
         keys = src.astype(np.int64)
@@ -867,10 +892,11 @@ def load_network(source) -> AssociativeNetwork:
         src = src[order]  # one gather at a time, each freeing the array it replaces
         dst = dst[order]
         weights = weights[order]
+    indptr = np.searchsorted(src, np.arange(len(ids) + 1, dtype=src.dtype))
+    del src  # before the network sums its cum, so the load holds no more than it returns
     try:
         net = AssociativeNetwork(
-            relation, ids, np.searchsorted(src, np.arange(len(ids) + 1, dtype=src.dtype)),
-            dst, weights, normalized=normalized, dangling=dangling,
+            relation, ids, indptr, dst, weights, normalized=normalized, dangling=dangling
         )
     except ValueError as exc:
         raise NetworkFormatError(str(source), str(exc)) from exc

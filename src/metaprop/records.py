@@ -8,8 +8,14 @@ compared by exact equality; no normalization is applied here.
 from __future__ import annotations
 
 import json
+import json.scanner
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple
+
+# json.loads's own scanner (the C one where it is built), called without the
+# wrapper's checks: a line that it does not read whole goes to json.loads
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
 
 class RecordError(ValueError):
     """Malformed record input; carries the 1-based line number."""
@@ -74,19 +80,36 @@ class ResourceRecord(NamedTuple):
         return self.properties.get(mu, frozenset())
 
 
+def _valid_values(vals: tuple) -> bool:
+    """Whether each of ``vals`` is a valid value, tested on all of them at
+    once: the join fails on a value that is not a str, and the joined text
+    holds a tab, newline or CR only if some value does."""
+    try:
+        text = "\x00".join(vals)
+    except TypeError:
+        return False
+    return "" not in vals and "\t" not in text and "\n" not in text and "\r" not in text
+
+
 def make_record(rid: str, properties: Mapping[str, Iterable[str]]) -> ResourceRecord:
-    """Validate and freeze raw id/properties into a ResourceRecord."""
+    """Validate and freeze raw id/properties into a ResourceRecord.
+
+    Each property type and each property's values are tested whole first;
+    only those that fail are checked one by one, which words the first
+    fault."""
     fault = _value_fault(rid)
     if fault:
         raise ValueError(f"resource id {fault}")
     props: Dict[str, FrozenSet[str]] = {}
     for mu, vals in properties.items():
-        _check_token(mu, "property type")
+        if not isinstance(mu, str) or mu.split() != [mu]:
+            _check_token(mu, "property type")
         vals = tuple(vals)
-        for v in vals:  # before frozenset, which cannot hash a list
-            fault = _value_fault(v)
-            if fault:
-                raise ValueError(f"value of {mu!r} {fault}")
+        if not _valid_values(vals):
+            for v in vals:  # before frozenset, which cannot hash a list
+                fault = _value_fault(v)
+                if fault:
+                    raise ValueError(f"value of {mu!r} {fault}")
         if vals:
             props[mu] = frozenset(vals)
     return ResourceRecord(rid, props)
@@ -147,6 +170,8 @@ def ingest(lines: Iterable[str]) -> Repository:
         {"id": "m1", "properties": {"key": ["swarm", "algorithms"]}}
 
     Duplicate ids and malformed lines raise RecordError with the line number.
+    Each line is read by json's scanner alone; one that it cannot read
+    whole is given to ``json.loads``, whose error words the report.
     """
     records: Dict[str, ResourceRecord] = {}
     for line_no, line in enumerate(lines, start=1):
@@ -154,9 +179,14 @@ def ingest(lines: Iterable[str]) -> Repository:
         if not stripped:
             continue
         try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise RecordError(line_no, f"invalid JSON: {exc.msg}") from exc
+            obj, end = _scan_json(stripped, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(stripped):
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise RecordError(line_no, f"invalid JSON: {exc.msg}") from exc
         if not isinstance(obj, dict) or "id" not in obj:
             raise RecordError(line_no, "record must be an object with an 'id' field")
         props = obj.get("properties", {})

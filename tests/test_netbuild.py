@@ -665,6 +665,118 @@ class TestBlockedIO:
             load_network(path)
 
 
+def claiming_edges(saved, path, count):
+    """Copy a network file to ``path`` with its header's edge count set to
+    ``count``."""
+    header, body = saved.read_text().split("\n", 1)
+    label, nodes, _, flag, dangling = header.split("\t")
+    path.write_text(f"{label}\t{nodes}\t{count}\t{flag}\t{dangling}\n{body}")
+
+
+@pytest.fixture
+def read_columns(monkeypatch):
+    """Records each _read_body call's returned columns."""
+    seen = []
+    read_body = netbuild._read_body
+
+    def recorded(*args):
+        body = read_body(*args)
+        seen.append(body[1:])
+        return body
+
+    monkeypatch.setattr(netbuild, "_read_body", recorded)
+    return seen
+
+
+class TestLoadColumns:
+    """The loader parses into columns sized from the header and holds no
+    more than the network it returns."""
+
+    @pytest.mark.parametrize("claimed", [0, 1, 65_536, 175_979])
+    def test_understated_edge_count_names_the_counts_found(self, big_network_file, tmp_path, claimed):
+        # the columns grow past the header's count, so every edge is counted
+        net, saved = big_network_file
+        path = tmp_path / "net.tsv"
+        claiming_edges(saved, path, claimed)
+        with pytest.raises(NetworkFormatError) as caught:
+            load_network(path)
+        assert str(caught.value) == (
+            f"{path}: truncated or corrupt file: header says {len(net.ids)} nodes/{claimed} edges, "
+            f"found {len(net.ids)}/{net.edge_count}"
+        )
+
+    @pytest.mark.parametrize("claimed", [-1, -(10**15), 10**15])
+    def test_absurd_edge_count_is_a_format_error(self, tmp_path, claimed):
+        # never a MemoryError, nor numpy's error for a negative size
+        path = tmp_path / "net.tsv"
+        path.write_text(f"cokey\t2\t{claimed}\t0\t0\na\tb\t0x1p-1\nb\ta\t0x1p-1\n")
+        with pytest.raises(NetworkFormatError) as caught:
+            load_network(path)
+        assert str(caught.value) == (
+            f"{path}: truncated or corrupt file: header says 2 nodes/{claimed} edges, found 2/2"
+        )
+
+    @pytest.mark.parametrize("block_entries", [None, 1 << 14, 1000])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+    def test_multi_block_file_loads_the_saved_network(
+        self, big_network_file, tmp_path, block_entries, shuffled
+    ):
+        net, saved = big_network_file
+        header, *body = saved.read_text().splitlines(keepends=True)
+        if shuffled:
+            random.Random(11).shuffle(body)
+        path = tmp_path / "net.tsv"
+        path.write_text(header + "".join(body))
+        with blocks_of(block_entries):  # the ids are renumbered a block at a time
+            loaded = load_network(path)
+        assert loaded == net
+        assert loaded.cum.tobytes() == net.cum.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            # the shortest edge lines, the last one without its newline
+            "cokey\t4\t4\t0\t0\nc\na\tb\t1\na\td\t1\nb\ta\t1\nd\ta\t1",
+            "cokey\t2\t2\t0\t0\r\na\tb\t1\r\nb\ta\t1\r\n",
+        ],
+        ids=["saved", "shortest-lines", "crlf"],
+    )
+    def test_a_true_header_sizes_the_columns_exactly(self, big_network_file, tmp_path, read_columns, text):
+        if text is None:
+            path = big_network_file[1]
+        else:
+            path = tmp_path / "net.tsv"
+            path.write_bytes(text.encode())
+        loaded = load_network(path)
+        (columns,) = read_columns
+        for column in columns:
+            assert len(column) == len(column.base) == loaded.edge_count
+
+    def test_load_holds_no_more_than_the_network(self, big_network_file, monkeypatch):
+        # from the parsed columns on, the load's traced peak is the network
+        # it returns plus block-sized scratch: no second full-length column
+        net, path = big_network_file
+        monkeypatch.setattr(netbuild, "_BLOCK_ENTRIES", 1 << 14)
+        read_body = netbuild._read_body
+
+        def peak_from_here(*args):
+            body = read_body(*args)
+            tracemalloc.reset_peak()
+            return body
+
+        monkeypatch.setattr(netbuild, "_read_body", peak_from_here)
+        tracemalloc.start()
+        try:
+            loaded = load_network(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (loaded.indptr, loaded.indices, loaded.weights, loaded.cum))
+        assert loaded == net
+        assert peak <= held + 16 * netbuild._BLOCK_ENTRIES
+
+
 def network_of(ids, edges):
     """A co-occurrence network over ``ids`` from (src, dst, weight) index
     triples in any order."""

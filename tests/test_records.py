@@ -289,3 +289,131 @@ class TestRepositoryOrder:
             for rid in sorted(raw)
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _ingest_oracle(lines):
+    """What ingest must give for ``lines``, by the generator-form checks:
+    the Repository, or the first RecordError's text."""
+    records = {}
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.strip())
+        except json.JSONDecodeError as exc:
+            return f"line {line_no}: invalid JSON: {exc.msg}"
+        if not isinstance(obj, dict) or "id" not in obj:
+            return f"line {line_no}: record must be an object with an 'id' field"
+        props = obj.get("properties", {})
+        if not isinstance(props, dict):
+            return f"line {line_no}: 'properties' must be an object"
+        for mu, vals in props.items():
+            if not isinstance(vals, list):
+                return f"line {line_no}: values of {mu!r} must be an array"
+        fault = _generator_fault(obj["id"], props)
+        if fault is not None:
+            return f"line {line_no}: {fault}"
+        if obj["id"] in records:
+            return f"line {line_no}: duplicate resource id: {obj['id']!r}"
+        records[obj["id"]] = ResourceRecord(
+            obj["id"], {mu: frozenset(vals) for mu, vals in props.items() if vals}
+        )
+    return Repository(records.values())
+
+
+def _assert_ingest_as_oracle(lines):
+    expected = _ingest_oracle(lines)
+    if isinstance(expected, str):
+        with pytest.raises(RecordError) as caught:
+            ingest(lines)
+        assert str(caught.value) == expected
+    else:
+        assert ingest(lines) == expected
+
+
+RECORD_FAULTS = [None, None, None, "non-list", "empty", "tab", "non-str", "space-token", "id"]
+
+
+@st.composite
+def record_files(draw):
+    """JSON lines of a few records.  Each later record draws its ids,
+    property types and values from those that earlier records had
+    admitted, or new ones, and may carry one fault: a non-list, an empty,
+    a tab-holding or a non-str value, or a property type with a space.
+    Blank lines of Unicode spaces fall between records."""
+    ids, types, values = ["m"], ["key"], ["v"]
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        rid = draw(st.one_of(st.sampled_from(ids), printable, printable))
+        props = {}
+        for mu in draw(st.lists(st.one_of(st.sampled_from(types), tokens), max_size=3)):
+            props[mu] = draw(st.lists(st.one_of(st.sampled_from(values), printable), max_size=3))
+        fault = draw(st.sampled_from(RECORD_FAULTS))
+        if fault == "id":
+            rid = draw(st.one_of(st.just(""), st.just("a\tb"), non_strings))
+        elif fault == "space-token":
+            props[f"k{draw(st.sampled_from(SPACES))}"] = ["v"]
+        elif fault is not None:
+            mu = draw(st.sampled_from(types))
+            bad = {"non-list": draw(st.sampled_from(["v", None, 1, {"v": ["v"]}])), "empty": "",
+                   "tab": "v\tv", "non-str": draw(non_strings)}[fault]
+            if fault == "non-list":
+                props[mu] = bad
+            else:
+                vals = props.setdefault(mu, [])
+                vals.insert(draw(st.integers(0, len(vals))), bad)
+        lines.append(draw(st.sampled_from(["", " ", "\xa0", "\u3000\t"])) + "\n")
+        lines.append(json.dumps({"id": rid, "properties": props}, ensure_ascii=draw(st.booleans())))
+        if fault is None and isinstance(rid, str) and _generator_fault(rid, props) is None:
+            ids.append(rid)
+            types.extend(props)
+            values.extend(v for vals in props.values() for v in vals)
+    return lines
+
+
+class TestIngestMatchesTheOracle:
+    @given(record_files())
+    def test_multi_record_file(self, lines):
+        _assert_ingest_as_oracle(lines)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "m1"} {"id": "m2"}', "invalid JSON: Extra data"),
+        ('{"id": "m1"}x', "invalid JSON: Extra data"),
+        ('\ufeff{"id": "m1"}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ('{"id": "m1"', "invalid JSON: Expecting ',' delimiter"),
+        ('{"id": "m1", "properties": {"k": ["a\\rb"]}}',
+         "value of 'k' must not contain tab/newline: 'a\\rb'"),
+        ('{"id": "m1", "properties": {"k": ["a", NaN]}}',
+         "value of 'k' must be a non-empty string, got nan"),
+        ('{"id": NaN}', "resource id must be a non-empty string, got nan"),
+        ('{"id": "m1", "properties": {"k": ["a"], "k\\u2028": ["b"]}}',
+         "property type must not contain whitespace: 'k\\u2028'"),
+    ], ids=["two-objects", "trailing-text", "bom", "unclosed", "cr", "nan-value", "nan-id",
+            "u2028-type"])
+    def test_bad_line(self, line, message):
+        lines = [json.dumps({"id": "m0"}), line]
+        _assert_ingest_as_oracle(lines)
+        with pytest.raises(RecordError) as caught:
+            ingest(lines)
+        assert str(caught.value) == f"line 2: {message}"
+
+    def test_u2028_inside_a_value(self, tmp_path):
+        # a line separator for str.splitlines, but neither a file's line end
+        # nor a value's fault
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps({"id": "m\u2028", "properties": {"k": ["a\u2028b"]}},
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
+        assert load_repository(path) == Repository([make_record("m\u2028", {"k": ["a\u2028b"]})])
+
+    def test_nbsp_only_line_is_blank(self):
+        lines = ["\xa0", json.dumps({"id": "m1"}), "\xa0\u3000", "{"]
+        with pytest.raises(RecordError, match="^line 4: invalid JSON: "):
+            ingest(lines)
+        assert ingest(lines[:3]) == Repository([make_record("m1", {})])
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        objs = [{"id": "m1", "properties": {"k": ["a b"]}}, {"id": "m2"}]
+        path.write_bytes(b"".join(json.dumps(o).encode() + b"\r\n" for o in objs))
+        expected = Repository([make_record("m1", {"k": ["a b"]}), make_record("m2", {})])
+        assert load_repository(path) == expected

@@ -1,5 +1,7 @@
 import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,3 +217,31 @@ def test_bench_grid_runs(capsys):
     serial = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert serial["grid"]["workers"] == 1 and serial["children_ru_maxrss_mib"] == [0.0]
     assert serial["results_sha256"] == report["results_sha256"]
+
+
+def test_coverage_counts_the_lines_a_run_executes():
+    root = SCRIPTS.parent
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "coverage.py"), "--", "-q", "-p", "no:cacheprovider",
+         "tests/test_records.py::TestIngest"],
+        cwd=root, check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout
+    report = json.loads(out.splitlines()[-1])
+    assert report["pytest_status"] == 0
+    files = report["files"]
+    assert set(files) == {f"src/metaprop/{p.name}" for p in (root / "src" / "metaprop").glob("*.py")}
+    for counts in files.values():
+        assert set(counts["executed"]) <= set(counts["executable"])
+    records = files["src/metaprop/records.py"]
+    source = (root / "src" / "metaprop" / "records.py").read_text().splitlines()
+
+    def line_of(text):
+        (line,) = [k for k, code in enumerate(source, start=1) if code.strip() == text]
+        return line
+
+    assert line_of("obj, end = _scan_json(stripped, 0)") in records["executed"]
+    assert line_of("return ingest(fh)") in set(records["executable"]) - set(records["executed"])
+    assert 0 < records["percent"] < 100
+    # TestIngest never imports netbuild
+    assert files["src/metaprop/netbuild.py"]["executed"] == []
+    assert files["src/metaprop/netbuild.py"]["executable"]
