@@ -10,18 +10,18 @@ that reads its own peak RSS (``ru_maxrss``).  ``ingest`` times
 ``save_repository`` of the corpus in one process and ``load_repository`` of
 that record file in another, which writes what it loaded back out, untimed,
 so that both processes report the digest of the same bytes.  ``build`` times
-``build_cooccurrence``, ``normalize`` and then ``pair_count`` with the raw
-network dropped, reading the peak before the first and after each; then, in
-a second process, ``build_cooccurrence(..., normalized=True)``, as
-``build-network`` builds, and the peak after it.  Both processes digest
-the normalized arrays, which must agree.  ``io`` times ``save_network`` in
-one process and ``load_network`` of that file in another.  ``grid`` times
-``run_experiment`` (network build included) over the default densities and
-percentiles, ``jour`` as the target, 2 runs each, on ``--workers`` worker
+the two builds the product runs, each with the peak after it:
+``build_cooccurrence(..., normalized=True)``, as ``build-network`` builds, in
+one process, and ``walk_tables``, as ``run_experiment`` builds, in another.
+Both digest the walk's arrays (ids, ``indptr``, ``indices``, ``cum``), which
+must agree.  ``io`` times ``save_network`` of the network ``build-network``
+writes in one process and ``load_network`` of that file in another.  ``grid``
+times ``run_experiment`` (network build included) over the default densities
+and percentiles, ``jour`` as the target, 2 runs each, on ``--workers`` worker
 processes (one by default), and reads the largest reaped worker's peak as
-well as its own.  Prints one
-JSON object with the keys of the layer's ``BENCH_*.json`` record: every
-process's wall times and peaks, and each other value once.  Those values
+well as its own.  Prints one JSON object with the keys of the layer's
+``BENCH_*.json`` record: every process's wall times and peaks, and each
+other value once.  Those values
 (digests, edge and error counts) must agree between processes, and a loaded
 network's digest must equal the saved one's; the script exits with an error
 when they do not.
@@ -99,32 +99,12 @@ def _load_records(records: int) -> dict:
     return {"load_wall_s": wall, "load_ru_maxrss_mib": peak, "file_sha256": _file_sha256(RESAVED)}
 
 
-def _build(records: int) -> dict:
-    from metaprop.netbuild import build_cooccurrence, normalize
-    from metaprop.synthetic import two_cluster_corpus
-
-    repo = two_cluster_corpus(records, seed=0)
-    start_peak = _peak_mib()
-    raw, build_s = _timed(build_cooccurrence, repo, "key")
-    build_peak = _peak_mib()
-    net, normalize_s = _timed(normalize, raw)
-    normalize_peak = _peak_mib()
-    arrays_sha256 = _network_sha256("", net.ids, raw.indptr, raw.indices, raw.weights,
-                                    net.weights, net.cum)
-    del raw
-    pairs, pairs_s = _timed(lambda: net.pair_count)
-    return {
-        "network": {"records": records, "relation": "cokey", "edges": net.edge_count,
-                    "pairs": pairs},
-        "build_wall_s": build_s, "normalize_wall_s": normalize_s, "pairs_wall_s": pairs_s,
-        "start_ru_maxrss_mib": start_peak, "build_ru_maxrss_mib": build_peak,
-        "normalize_ru_maxrss_mib": normalize_peak, "pairs_ru_maxrss_mib": _peak_mib(),
-        "arrays_sha256": arrays_sha256, "normalized_sha256": _normalized_sha256(net),
-    }
+def _network(records: int, net) -> dict:
+    return {"records": records, "relation": "cokey", "edges": len(net.indices)}
 
 
-def _normalized_sha256(net) -> str:
-    return _network_sha256("", net.ids, net.indptr, net.indices, net.weights, net.cum)
+def _walk_sha256(net) -> str:
+    return _network_sha256("", net.ids, net.indptr, net.indices, net.cum)
 
 
 def _build_normalized(records: int) -> dict:
@@ -134,16 +114,31 @@ def _build_normalized(records: int) -> dict:
     repo = two_cluster_corpus(records, seed=0)
     net, wall = _timed(build_cooccurrence, repo, "key", normalized=True)
     return {
+        "network": _network(records, net),
         "normalized_build_wall_s": wall, "normalized_build_ru_maxrss_mib": _peak_mib(),
-        "normalized_sha256": _normalized_sha256(net),
+        "normalized_sha256": _network_sha256("", net.ids, net.indptr, net.indices, net.weights,
+                                             net.cum),
+        "walk_sha256": _walk_sha256(net),
+    }
+
+
+def _walk_tables(records: int) -> dict:
+    from metaprop.netbuild import walk_tables
+    from metaprop.synthetic import two_cluster_corpus
+
+    repo = two_cluster_corpus(records, seed=0)
+    tables, wall = _timed(walk_tables, repo, "cokey")
+    return {
+        "network": _network(records, tables), "walk_tables_wall_s": wall,
+        "walk_tables_ru_maxrss_mib": _peak_mib(), "walk_sha256": _walk_sha256(tables),
     }
 
 
 def _save(records: int) -> dict:
-    from metaprop.netbuild import build_cooccurrence, normalize, save_network
+    from metaprop.netbuild import build_cooccurrence, save_network
     from metaprop.synthetic import two_cluster_corpus
 
-    net = normalize(build_cooccurrence(two_cluster_corpus(records, seed=0), "key"))
+    net = build_cooccurrence(two_cluster_corpus(records, seed=0), "key", normalized=True)
     _, wall = _timed(save_network, net, NETWORK)
     return {
         "network": {"records": records, "relation": "cokey", "normalized": net.normalized,
@@ -181,11 +176,11 @@ def _grid(records: int, workers: int) -> dict:
 
 STEPS = {
     "save_records": _save_records, "load_records": _load_records,
-    "build": _build, "build_normalized": _build_normalized, "save": _save, "load": _load,
-    "grid": _grid,
+    "build_normalized": _build_normalized, "walk_tables": _walk_tables,
+    "save": _save, "load": _load, "grid": _grid,
 }
 LAYERS = {
-    "ingest": ("save_records", "load_records"), "build": ("build", "build_normalized"),
+    "ingest": ("save_records", "load_records"), "build": ("build_normalized", "walk_tables"),
     "io": ("save", "load"), "grid": ("grid",),
 }
 

@@ -48,7 +48,7 @@ from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from .netbuild import AssociativeNetwork, normalize, numbered_values
+from .netbuild import AssociativeNetwork, WalkTables, normalize, numbered_values
 from .records import Repository, _check_token, _dump_fields, _value_fault
 
 ENERGY_FORMAT = "%.12g"  # store dump rendering; in-memory energies stay exact
@@ -257,11 +257,16 @@ def _floor_never_stops(cfg: PropagationConfig) -> bool:
 
 
 def _walk(
-    net: AssociativeNetwork, cfg: PropagationConfig, payload: list, carriers_only: bool = False
+    net: AssociativeNetwork | WalkTables,
+    cfg: PropagationConfig,
+    payload: list,
+    carriers_only: bool = False,
 ):
     """The tick loop, over a normalized network with one particle per node,
-    node i's seeded by ``derive_seed(cfg.seed, net.ids[i])``.  Of ``net`` it
-    reads only ``ids``, ``indptr``, ``indices`` and ``cum``.  ``payload`` lists
+    node i's seeded by ``derive_seed(cfg.seed, net.ids[i])``.  ``net`` is a
+    normalized ``AssociativeNetwork`` (``propagate``) or a
+    ``netbuild.WalkTables`` (the grid's jobs); of either it reads only
+    ``ids``, ``indptr``, ``indices`` and ``cum``.  ``payload`` lists
     each carried property as (receiver mask, ``netbuild.NumberedValues``): a
     live particle whose home holds the property and is not a receiver carries
     it, and deposits its home's values at each receiver it reaches.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import runpy
 import subprocess
@@ -147,34 +148,29 @@ def test_bench_ingest_runs(capsys):
 
 
 def test_bench_build_runs(capsys):
+    # one build-network build then one walk_tables process per repeat; both
+    # digest the walk's arrays, which must agree
     report = _report("build", capsys)
     assert set(report) == {
-        "network", "python", "build_wall_s", "normalize_wall_s", "pairs_wall_s",
-        "start_ru_maxrss_mib", "build_ru_maxrss_mib", "normalize_ru_maxrss_mib",
-        "pairs_ru_maxrss_mib", "arrays_sha256", "normalized_build_wall_s",
-        "normalized_build_ru_maxrss_mib", "normalized_sha256",
+        "network", "python", "normalized_build_wall_s", "normalized_build_ru_maxrss_mib",
+        "normalized_sha256", "walk_tables_wall_s", "walk_tables_ru_maxrss_mib", "walk_sha256",
     }
     network = report["network"]
     assert network["records"] == 300 and network["edges"] > 0
-    # a co-occurrence network joins each pair both ways
-    assert network["pairs"] * 2 == network["edges"]
-    peaks = zip(*(report[f"{k}_ru_maxrss_mib"] for k in ("start", "build", "normalize", "pairs")))
-    for start, build, normalized, pairs in peaks:
-        assert start <= build <= normalized <= pairs
 
 
-def test_bench_build_rejects_a_normalized_build_that_differs():
+def test_bench_build_rejects_walk_tables_that_differ():
     main = _bench_main()
     child = main.__globals__["_child"]
 
     def child_building_other_arrays(child_argv, cwd):
         out = child(child_argv, cwd)
-        if child_argv[-1] == "build_normalized":
-            out["normalized_sha256"] = "0" * 64
+        if child_argv[-1] == "walk_tables":
+            out["walk_sha256"] = "0" * 64
         return out
 
     main.__globals__["_child"] = child_building_other_arrays
-    with pytest.raises(SystemExit, match="^normalized_sha256 differs between processes"):
+    with pytest.raises(SystemExit, match="^walk_sha256 differs between processes"):
         main(["build", *BENCH_ARGV])
 
 
@@ -187,6 +183,19 @@ def test_bench_network_io_runs(capsys):
     }
     assert report["network"]["records"] == 300 and report["network"]["edges"] > 0
     assert report["network"]["normalized"] is True and report["network"]["file_mib"] >= 0
+
+
+def test_bench_network_io_saves_what_build_network_writes(tmp_path, monkeypatch, capsys):
+    # the save step, run in tmp_path, leaves its file there as network.tsv
+    monkeypatch.chdir(tmp_path)
+    assert _bench_main()(["io", "--records", "300", "--child", "save"]) == 0
+    saved = json.loads(capsys.readouterr().out.splitlines()[-1])
+    save_repository(two_cluster_corpus(300, seed=0), "repo.jsonl")
+    assert cli.main(["build-network", "repo.jsonl", "--relation", "cokey",
+                     "--output", "cli.tsv"]) == 0
+    written = (tmp_path / "cli.tsv").read_bytes()
+    assert (tmp_path / "network.tsv").read_bytes() == written
+    assert saved["file_sha256"] == hashlib.sha256(written).hexdigest()
 
 
 def test_bench_network_io_rejects_a_loaded_network_that_differs():
