@@ -14,8 +14,11 @@ the two builds the product runs, each with the peak after it:
 ``build_cooccurrence(..., normalized=True)``, as ``build-network`` builds, in
 one process, and ``walk_tables``, as ``run_experiment`` builds, in another.
 Both digest the walk's arrays (ids, ``indptr``, ``indices``, ``cum``), which
-must agree.  ``io`` times ``save_network`` of the network ``build-network``
-writes in one process and ``load_network`` of that file in another.  ``grid``
+must agree; the build's ``cum`` is summed by ``netbuild._walk_tables`` after
+its peak is read, as a network holds none.  ``io`` times ``save_network`` of
+the network ``build-network`` writes in one process, which reads its peak
+just before the save as well as after it, and ``load_network`` of that file
+in another.  ``grid``
 times ``run_experiment`` (network build included) over the default densities
 and percentiles, ``jour`` as the target, 2 runs each, on ``--workers`` worker
 processes (one by default), and reads the largest reaped worker's peak as
@@ -108,17 +111,19 @@ def _walk_sha256(net) -> str:
 
 
 def _build_normalized(records: int) -> dict:
-    from metaprop.netbuild import build_cooccurrence
+    from metaprop import netbuild
     from metaprop.synthetic import two_cluster_corpus
 
     repo = two_cluster_corpus(records, seed=0)
-    net, wall = _timed(build_cooccurrence, repo, "key", normalized=True)
+    net, wall = _timed(netbuild.build_cooccurrence, repo, "key", normalized=True)
+    peak = _peak_mib()
+    tables = netbuild._walk_tables(net)  # the walk's cum, which the network does not hold
     return {
         "network": _network(records, net),
-        "normalized_build_wall_s": wall, "normalized_build_ru_maxrss_mib": _peak_mib(),
+        "normalized_build_wall_s": wall, "normalized_build_ru_maxrss_mib": peak,
         "normalized_sha256": _network_sha256("", net.ids, net.indptr, net.indices, net.weights,
-                                             net.cum),
-        "walk_sha256": _walk_sha256(net),
+                                             tables.cum),
+        "walk_sha256": _walk_sha256(tables),
     }
 
 
@@ -139,11 +144,12 @@ def _save(records: int) -> dict:
     from metaprop.synthetic import two_cluster_corpus
 
     net = build_cooccurrence(two_cluster_corpus(records, seed=0), "key", normalized=True)
+    pre_save = _peak_mib()  # so a save that raises the build's peak shows
     _, wall = _timed(save_network, net, NETWORK)
     return {
         "network": {"records": records, "relation": "cokey", "normalized": net.normalized,
                     "edges": net.edge_count, "file_mib": round(os.path.getsize(NETWORK) / 2**20, 1)},
-        "save_wall_s": wall, "save_ru_maxrss_mib": _peak_mib(),
+        "save_wall_s": wall, "pre_save_ru_maxrss_mib": pre_save, "save_ru_maxrss_mib": _peak_mib(),
         "file_sha256": _file_sha256(NETWORK), "arrays_sha256": _saved_sha256(net),
     }
 

@@ -10,9 +10,11 @@ share property values, weighted by overlap:
 Outgoing weights can be normalized into per-node probability distributions
 for the particle walk, by ``normalize`` or, with the same floats, by
 ``build_cooccurrence`` while it builds (``normalized=True``).  The walk reads
-only each row's running sums, so the evaluation grid builds just those and
-the structure, by ``walk_tables``: a co-occurrence network's weights are then
-made, checked and dropped one block of rows at a time.
+only the structure and each row's running sums, ``cum``, which a network
+does not hold: ``WalkTables`` do.  ``_walk_tables`` sums them from a
+normalized network, and the evaluation grid builds just them, by
+``walk_tables``: a co-occurrence network's weights are then made, checked
+and dropped one block of rows at a time.
 
 A network is held in compressed sparse row (CSR) form over the sorted node
 ids: three numpy arrays give each row's start offset, the destination node
@@ -140,23 +142,30 @@ def _row_blocks(cost: np.ndarray, budget: int) -> List[Tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _normalize_rows(ids, bounds: List[int], raw, weights, cum, first: int = 0) -> None:
+def _row_totals(bounds: List[int], weights, first: int = 0):
+    """(node, lo, hi, total) for each non-empty row of ``weights``, bounded
+    by ``bounds`` and numbered from ``first``: the last entry of the row's
+    running sum, made in one row-sized scratch array, so summed left to
+    right as ``acc += w`` sums it."""
+    scratch = np.empty(np.diff(bounds).max(initial=0))
+    for node, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), first):
+        if lo < hi:
+            yield node, lo, hi, np.add.accumulate(weights[lo:hi], out=scratch[: hi - lo])[-1]
+
+
+def _normalize_rows(ids, bounds: List[int], raw, weights, cum=None, first: int = 0) -> None:
     """Divide rows ``first``, ``first + 1``, ... of ``raw``, bounded by
-    ``bounds``, by their totals into ``weights`` (which may be ``raw``), and
-    write the divided rows' running sums into ``cum``.  A row's running sum
-    of its raw weights, made in ``cum``, ends in its total, so its three
-    steps reuse it in cache.  A total past the largest float is an error; a
-    weight divided to 0 is the caller's to report."""
+    ``bounds``, by their ``_row_totals`` into ``weights`` (which may be
+    ``raw``), and, given ``cum``, write the divided rows' running sums into
+    it.  A total past the largest float is an error; a weight divided to 0
+    is the caller's to report."""
     with np.errstate(over="ignore"):  # an overflowing row is reported by name
-        for node, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), first):
-            if lo < hi:
-                row_cum, row = cum[lo:hi], weights[lo:hi]
-                np.add.accumulate(raw[lo:hi], out=row_cum)
-                total = row_cum[-1]
-                if total == np.inf:
-                    raise ValueError(f"out-weights of {ids[node]!r} sum past the largest float")
-                np.divide(raw[lo:hi], total, out=row)
-                np.add.accumulate(row, out=row_cum)
+        for node, lo, hi, total in _row_totals(bounds, raw, first):
+            if total == np.inf:
+                raise ValueError(f"out-weights of {ids[node]!r} sum past the largest float")
+            np.divide(raw[lo:hi], total, out=weights[lo:hi])
+            if cum is not None:
+                np.add.accumulate(weights[lo:hi], out=cum[lo:hi])
 
 
 def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -235,13 +244,12 @@ class AssociativeNetwork:
 
     ``ids`` are the node ids in sorted order; node i's out-edges are
     ``indices[indptr[i]:indptr[i + 1]]`` (ascending node numbers, so in
-    destination-id order) with ``weights`` at the same positions.  A
-    normalized network also holds ``cum``, each row's running weight sum,
-    which the walk bisects to sample a destination.
+    destination-id order) with ``weights`` at the same positions.  The
+    running sums the walk bisects, ``cum``, are not held here but in the
+    ``WalkTables`` that ``_walk_tables`` makes from a normalized network.
 
     The constructor checks the arrays once; ``normalize`` keeps the ids and
     CSR structure as they were checked and checks only the weights it makes.
-    A normalized network sums its ``cum`` unless a builder gives it.
     """
 
     def __init__(
@@ -253,7 +261,6 @@ class AssociativeNetwork:
         weights,
         normalized: bool = False,
         dangling: int = 0,
-        cum=None,
     ):
         self.relation = relation
         self.ids: Tuple[str, ...] = tuple(ids)
@@ -264,13 +271,8 @@ class AssociativeNetwork:
         self.normalized = normalized
         self.dangling = dangling
         self._check()
-        self.cum = _row_cumsum(self.indptr, self.weights) if normalized and cum is None else cum
-        self._freeze()
-
-    def _freeze(self) -> None:
-        for column in (self.indptr, self.indices, self.weights, self.cum):
-            if column is not None:
-                column.flags.writeable = False
+        for column in (self.indptr, self.indices, self.weights):
+            column.flags.writeable = False
 
     def _check(self) -> None:
         """Raise ValueError on the first fault of the highest-ranked kind:
@@ -396,16 +398,14 @@ def build_cooccurrence(repo: Repository, mu: str, normalized: bool = False) -> A
     With ``normalized``, each block's whole rows are normalized in place by
     ``normalize``'s rule, so no full-length raw weights are ever made.
     """
-    ids, indptr, indices, weights, cum = _cooccurrence(repo, mu, normalized, keep_weights=True)
-    return AssociativeNetwork(
-        Relation(COOCCURRENCE, mu), ids, indptr, indices, weights, normalized, cum=cum
-    )
+    ids, indptr, indices, weights = _cooccurrence(repo, mu, normalized, keep_weights=True)
+    return AssociativeNetwork(Relation(COOCCURRENCE, mu), ids, indptr, indices, weights, normalized)
 
 
 def _cooccurrence(repo: Repository, mu: str, normalized: bool, keep_weights: bool):
     """The arrays of ``build_cooccurrence``'s network: ids, ``indptr``,
-    ``indices``, then ``weights`` (None unless ``keep_weights``) and ``cum``
-    (None unless ``normalized``).
+    ``indices``, then, with ``keep_weights``, its weights, or else the
+    walk's ``cum`` of the normalized network.
 
     S is made in blocks of rows, chosen from an upper bound on each row's
     entries (the postings of its values, at most n), and each block's
@@ -413,7 +413,8 @@ def _cooccurrence(repo: Repository, mu: str, normalized: bool, keep_weights: boo
     Those are made at the bound's total and cut to the edge count at the
     end; pages past the last edge are never touched.  Each block's weights
     are made in the final weights array, or, without ``keep_weights``, in a
-    block-sized scratch array.  Scratch weights are normalized, scanned for
+    block-sized scratch array.  Scratch weights are normalized, their
+    running sums written into ``cum``, scanned for
     the faults the ``AssociativeNetwork`` constructor rejects and dropped;
     after the last block the first fault is raised with the constructor's
     message.
@@ -435,8 +436,7 @@ def _cooccurrence(repo: Repository, mu: str, normalized: bool, keep_weights: boo
     del postings, cols
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices = np.empty(int(reach.sum()), dtype=np.int32)
-    weights = np.empty(len(indices), dtype=np.float64) if keep_weights else None
-    cum = np.empty(len(indices), dtype=np.float64) if normalized else None
+    column = np.empty(len(indices), dtype=np.float64)  # the weights, or cum
     faults: Dict[str, int] = {}
     for r0, r1 in _row_blocks(reach, _BLOCK_ENTRIES):
         # B·B[r0:r1]ᵀ is S's columns r0..r1, so, S being symmetric, its CSC
@@ -452,29 +452,30 @@ def _cooccurrence(repo: Repository, mu: str, normalized: bool, keep_weights: boo
         co = block.data[off_diagonal]
         del block, src, off_diagonal
         # co / (|values_i| + |values_j| - co), made in place in the weights
-        w = weights[lo:hi] if keep_weights else np.empty(hi - lo, dtype=np.float64)
+        w = column[lo:hi] if keep_weights else np.empty(hi - lo, dtype=np.float64)
+        cum = None if keep_weights else column[lo:hi]
         np.take(sizes, indices[lo:hi], out=w)
         np.add(w, np.repeat(sizes[r0:r1], degree), out=w)
         np.subtract(w, co, out=w)
         np.divide(co, w, out=w)
         if normalized:
-            _normalize_rows(ids, (indptr[r0 : r1 + 1] - lo).tolist(), w, w, cum[lo:hi], r0)
+            _normalize_rows(ids, (indptr[r0 : r1 + 1] - lo).tolist(), w, w, cum, r0)
         if not keep_weights:
             _scan_edges(faults, indptr, indices, w, r0, r1)
-        del w  # scratch goes before the next block's; no view outlives the cut below
-    for column in (indices, weights, cum):
-        if column is not None:
-            column.resize(indptr[-1], refcheck=False)
+        del w, cum  # scratch goes before the next block's; no view outlives the cut below
+    indices.resize(indptr[-1], refcheck=False)
+    column.resize(indptr[-1], refcheck=False)
     if not keep_weights:
-        _check_csr(ids, indptr, indices, cum.shape)
+        _check_csr(ids, indptr, indices, column.shape)
         _raise_fault(faults, ids, indptr, indices)
-    return ids, indptr, indices, weights, cum
+    return ids, indptr, indices, column
 
 
 class WalkTables(NamedTuple):
-    """What a walk reads of a normalized network: its ids, ``indptr``,
-    ``indices`` and ``cum``, without ``weights``, and the relation's
-    property."""
+    """What a walk reads of a normalized network: its ids, ``indptr`` and
+    ``indices``, each row's running weight sums ``cum``, which the walk
+    bisects to sample a destination, and the relation's property.  These
+    are the only holders of ``cum``."""
 
     ids: Tuple[str, ...]
     indptr: np.ndarray
@@ -484,8 +485,11 @@ class WalkTables(NamedTuple):
 
 
 def _walk_tables(net: AssociativeNetwork) -> WalkTables:
-    """References to normalized ``net``'s walk arrays, not copies."""
-    return WalkTables(net.ids, net.indptr, net.indices, net.cum, net.relation.mu)
+    """Normalized ``net``'s walk tables: references to its ids and CSR
+    structure, and ``cum`` summed from its weights."""
+    cum = _row_cumsum(net.indptr, net.weights)
+    cum.flags.writeable = False
+    return WalkTables(net.ids, net.indptr, net.indices, cum, net.relation.mu)
 
 
 def walk_tables(repo: Repository, label: str) -> WalkTables:
@@ -500,9 +504,7 @@ def walk_tables(repo: Repository, label: str) -> WalkTables:
     relation = relation_for(repo, label)
     if relation.kind == OCCURRENCE:
         return _walk_tables(normalize(require_edges(build_occurrence(repo, relation.mu))))
-    ids, indptr, indices, _, cum = _cooccurrence(
-        repo, relation.mu, normalized=True, keep_weights=False
-    )
+    ids, indptr, indices, cum = _cooccurrence(repo, relation.mu, normalized=True, keep_weights=False)
     for column in (indptr, indices, cum):
         column.flags.writeable = False
     return WalkTables(tuple(ids), indptr, indices, cum, relation.mu)
@@ -516,21 +518,22 @@ def normalize(net: AssociativeNetwork) -> AssociativeNetwork:
     normalized is returned as it is.  A row total past the largest float is
     an error, as is a weight that the division takes to 0.
 
-    One pass over the rows, ``_normalize_rows``, makes the weights and the
-    walk's running sums; ``build_cooccurrence`` normalizes with the same
-    rule while it builds.  The ids and CSR structure were checked when ``net`` was
-    made, so only the new weights are checked.
+    One pass over the rows, ``_normalize_rows``, makes the weights, with
+    one row-sized scratch array for the totals; ``build_cooccurrence``
+    normalizes with the same rule while it builds.  The ids and CSR
+    structure were checked when ``net`` was made, so only the new weights
+    are checked.
     """
     if net.normalized:
         return net
-    weights, cum = np.empty_like(net.weights), np.empty_like(net.weights)
-    _normalize_rows(net.ids, net.indptr.tolist(), net.weights, weights, cum)
+    weights = np.empty_like(net.weights)
+    _normalize_rows(net.ids, net.indptr.tolist(), net.weights, weights)
     if len(weights) and weights.min() == 0.0:  # an underflow: w / total is never negative
         k = int(np.argmin(weights))
         raise ValueError(f"non-positive weight on {_edge(net.ids, net.indptr, net.indices, k)}")
+    weights.flags.writeable = False
     out = copy.copy(net)
-    out.weights, out.cum, out.normalized = weights, cum, True
-    out._freeze()
+    out.weights, out.normalized = weights, True
     return out
 
 
@@ -834,9 +837,9 @@ def load_network(source) -> AssociativeNetwork:
     count, capped at the edge lines the file's size can hold, so a header
     that overstates its count allocates no more than that.  The ids are
     renumbered in place a block at a time, and the source column is freed
-    once the row offsets are made from it, before the network sums its
-    ``cum``: the load holds no more than the network it returns, plus
-    block-sized scratch (and, for a file out of order, its sort).
+    once the row offsets are made from it: past the parsed columns, the
+    load holds no more than the network it returns, plus block- or
+    row-sized scratch (and, for a file out of order, its sort).
     """
     with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
@@ -893,7 +896,7 @@ def load_network(source) -> AssociativeNetwork:
         dst = dst[order]
         weights = weights[order]
     indptr = np.searchsorted(src, np.arange(len(ids) + 1, dtype=src.dtype))
-    del src  # before the network sums its cum, so the load holds no more than it returns
+    del src  # past the parsed columns, the load holds no more than it returns
     try:
         net = AssociativeNetwork(
             relation, ids, indptr, dst, weights, normalized=normalized, dangling=dangling
@@ -901,14 +904,12 @@ def load_network(source) -> AssociativeNetwork:
     except ValueError as exc:
         raise NetworkFormatError(str(source), str(exc)) from exc
     if normalized:
-        rows = np.flatnonzero(np.diff(net.indptr) > 0)
-        sums = net.cum[net.indptr[rows + 1] - 1]
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-        if bad.size:
-            k = bad[0]
-            raise NetworkFormatError(
-                str(source),
-                f"header says normalized, but the out-weights of {ids[rows[k]]!r} "
-                f"sum to {float(sums[k])!r}",
-            )
+        with np.errstate(over="ignore"):  # a total past the largest float is reported as inf
+            for node, _, _, total in _row_totals(net.indptr.tolist(), net.weights):
+                if abs(total - 1.0) > 1e-9:
+                    raise NetworkFormatError(
+                        str(source),
+                        f"header says normalized, but the out-weights of {ids[node]!r} "
+                        f"sum to {float(total)!r}",
+                    )
     return net

@@ -19,7 +19,8 @@ regenerates the two words its draw takes, so a walk generates no draw past
 its last tick.
 
 A tick works on arrays of the live particles: their draws are one row
-from the generator, one vectorized bisection over ``net.cum`` finds every
+from the generator, one vectorized bisection over the ``netbuild.WalkTables``'
+``cum``, the only holder of each row's running weight sums, finds every
 move, and only the particles that reach a node missing a property they
 carry deposit.  The loop itself takes, per property, the mask of the nodes
 that receive it and derives the carriers: the holders that are not
@@ -48,7 +49,7 @@ from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
-from .netbuild import AssociativeNetwork, WalkTables, normalize, numbered_values
+from .netbuild import AssociativeNetwork, WalkTables, _walk_tables, normalize, numbered_values
 from .records import Repository, _check_token, _dump_fields, _value_fault
 
 ENERGY_FORMAT = "%.12g"  # store dump rendering; in-memory energies stay exact
@@ -220,19 +221,20 @@ def propagate(
     """Run synchronous ticks until max_steps or the summed energy of
     non-frozen particles drops to the floor.
 
-    A raw network is normalized first.  Per tick, each non-frozen particle
+    A raw network is normalized first, and the walk reads its
+    ``netbuild._walk_tables``.  Per tick, each non-frozen particle
     moves (or freezes at a dead end) and deposits at its new node unless
     that node is its home.  Deterministic for a fixed (network, repository,
     config).
     """
-    net = normalize(net)
-    ids = net.ids  # sorted, so particle (and node) i is the i-th id
+    walk = _walk_tables(normalize(net))
+    ids = walk.ids  # sorted, so particle (and node) i is the i-th id
     records = [repo.record(node) for node in ids]
     holders = Counter(mu for rec in records for mu, values in rec.properties.items() if values)
     # a property every node holds has no metadata-poor node to deposit at
     tables = [(mu, numbered_values(records, mu)) for mu in sorted(holders) if holders[mu] < len(ids)]
     payload = [(~values.holds, values) for _, values in tables]
-    deposits, ticks, frozen, residual = _walk(net, cfg, payload)
+    deposits, ticks, frozen, residual = _walk(walk, cfg, payload)
     store = RecommendationStore()
     for (mu, values), totals in zip(tables, deposits):
         _fill_store(store, ids, mu, values.names, totals)
@@ -257,16 +259,14 @@ def _floor_never_stops(cfg: PropagationConfig) -> bool:
 
 
 def _walk(
-    net: AssociativeNetwork | WalkTables,
+    net: WalkTables,
     cfg: PropagationConfig,
     payload: list,
     carriers_only: bool = False,
 ):
-    """The tick loop, over a normalized network with one particle per node,
-    node i's seeded by ``derive_seed(cfg.seed, net.ids[i])``.  ``net`` is a
-    normalized ``AssociativeNetwork`` (``propagate``) or a
-    ``netbuild.WalkTables`` (the grid's jobs); of either it reads only
-    ``ids``, ``indptr``, ``indices`` and ``cum``.  ``payload`` lists
+    """The tick loop, over a normalized network's ``netbuild.WalkTables``
+    with one particle per node, node i's seeded by
+    ``derive_seed(cfg.seed, net.ids[i])``.  ``payload`` lists
     each carried property as (receiver mask, ``netbuild.NumberedValues``): a
     live particle whose home holds the property and is not a receiver carries
     it, and deposits its home's values at each receiver it reaches.

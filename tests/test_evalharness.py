@@ -552,8 +552,10 @@ def reference_run_cell_once(net, repo, mu_x, density, percentiles, prop_cfg, see
 
 
 def run_cell_once(net, repo, mu_x, density, percentiles, prop_cfg, seed):
+    """The grid job over normalized ``net``'s walk tables."""
     target = numbered_values(list(repo), mu_x)
-    return evalharness._run_cell_once(net, target, density, percentiles, prop_cfg, seed)
+    tables = netbuild._walk_tables(net)
+    return evalharness._run_cell_once(tables, target, density, percentiles, prop_cfg, seed)
 
 
 def exact(job):
@@ -651,11 +653,11 @@ class TestJobMatchesReference:
         # size, one run per density
         repo = two_cluster_corpus(n_records=5000, seed=0)
         net = build_relation_network(repo, "cokey")
-        target = numbered_values(list(repo), "jour")
+        tables, target = netbuild._walk_tables(net), numbered_values(list(repo), "jour")
         for d_idx, density in enumerate(evalharness.DEFAULT_DENSITIES):
             seed = evalharness.derive_seed(0, "cokey", "jour", d_idx, 0)
             args = (density, evalharness.DEFAULT_PERCENTILES, PropagationConfig(), seed)
-            got = evalharness._run_cell_once(net, target, *args)
+            got = evalharness._run_cell_once(tables, target, *args)
             assert exact(got) == exact(reference_run_cell_once(net, repo, "jour", *args))
 
 

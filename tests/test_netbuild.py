@@ -31,7 +31,6 @@ from metaprop.netbuild import (
 )
 from metaprop.evalharness import build_relation_network
 from metaprop.records import Repository, make_record
-from metaprop.synthetic import two_cluster_corpus
 
 from corpora import brute_force_cooccurrence, edge_dict, edge_list, random_repository
 
@@ -382,21 +381,18 @@ class TestNormalize:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_sequential_loop(self, seed):
-        # reference: the scalar loops the array code replaced, compared bit
-        # for bit, including the walk's cumulative column
+        # reference: the scalar loop the array code replaced, compared bit
+        # for bit; the walk's running sums are test_every_maker_of_cum_agrees'
         repo = random_repository(60, vocab_size=10, cite_rate=0.1, seed=seed)
         for net in (build_cooccurrence(repo, "key"), build_occurrence(repo, "cite")):
             normed = normalize(net)
-            cum = iter(normed.cum.tolist())
             for node in sorted(net.nodes):
                 raw = net.out_edges(node)
                 total = 0.0
                 for _, w in raw:
                     total += w
-                acc = 0.0
                 for (dst, w), (ndst, nw) in zip(raw, normed.out_edges(node)):
-                    acc += w / total
-                    assert (ndst, nw, next(cum)) == (dst, w / total, acc)
+                    assert (ndst, nw) == (dst, w / total)
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(
@@ -416,7 +412,7 @@ class TestNormalize:
         assert (net.relation, net.ids, net.dangling) == (
             expected.relation, expected.ids, expected.dangling
         )
-        for column in ("indptr", "indices", "weights", "cum"):
+        for column in ("indptr", "indices", "weights"):
             ours, theirs = getattr(net, column), getattr(expected, column)
             assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
@@ -565,6 +561,34 @@ class TestSerialization:
         with pytest.raises(NetworkFormatError, match=f":1: {message}"):
             load_network(path)
 
+    @pytest.mark.parametrize("rows, bad", [
+        # b's and c's rows are off; b comes first in id order
+        ({"a": ["0x1p-1", "0x1p-1"], "b": ["0x1p-1", "0x1p-2"], "c": ["0x1p-1"]}, ("b", 0.75)),
+        # a's total is 2**-29 past 1.0, beyond the 1e-9 tolerance
+        ({"a": ["0x1.0000001p-1", "0x1p-1"], "b": ["1", "0x1p-53"], "c": ["1"]}, ("a", 1.0 + 2**-29)),
+        # within it (and b's 1 + 2**-53 rounds to 1.0): the file loads
+        ({"a": ["0x1.0000000001p-1", "0x1p-1"], "b": ["1", "0x1p-53"], "c": ["1"]}, None),
+        # a total past the largest float is named, with no overflow warning
+        ({"a": ["0x1p-1", "0x1p-1"], "b": ["0x1p1023", "0x1p1023"], "c": ["1"]}, ("b", math.inf)),
+    ], ids=["first-bad-row", "just-past", "within", "overflow"])
+    def test_normalized_flag_needs_rows_summing_to_one(self, tmp_path, rows, bad):
+        path = tmp_path / "net.tsv"
+        lines = [
+            f"{src}\t{dst}\t{w}\n"
+            for src, weights in rows.items()
+            for dst, w in zip([d for d in "abc" if d != src], weights)
+        ]
+        path.write_text(f"cokey\t3\t{len(lines)}\t1\t0\n" + "".join(lines))
+        if bad is None:
+            assert load_network(path).normalized
+            return
+        with pytest.raises(NetworkFormatError) as caught:
+            load_network(path)
+        node, total = bad
+        assert str(caught.value) == (
+            f"{path}: header says normalized, but the out-weights of {node!r} sum to {total!r}"
+        )
+
     @pytest.mark.parametrize("line_no", [1, 2, 3])
     def test_non_utf8_bytes_name_their_line(self, table1_repo, tmp_path, line_no):
         path = tmp_path / "net.tsv"
@@ -599,14 +623,19 @@ class TestSerialization:
         assert load_network(path) == net
 
 
+def big_repository():
+    """420 records that all share one key value: a complete co-occurrence
+    network of 175,980 edges, each row 419 long."""
+    return Repository(
+        [make_record(f"n{i:03d}", {"key": ["shared", f"k{i % 7}"]}) for i in range(420)]
+    )
+
+
 @pytest.fixture(scope="module")
 def big_network_file(tmp_path_factory):
     """A 420-node co-occurrence network (175,980 edges, 5.6 MB): more
     edges than one write block and more text than one read block."""
-    repo = Repository(
-        [make_record(f"n{i:03d}", {"key": ["shared", f"k{i % 7}"]}) for i in range(420)]
-    )
-    net = normalize(build_cooccurrence(repo, "key"))
+    net = normalize(build_cooccurrence(big_repository(), "key"))
     path = tmp_path_factory.mktemp("big") / "net.tsv"
     save_network(net, path)
     return net, path
@@ -730,7 +759,6 @@ class TestLoadColumns:
         with blocks_of(block_entries):  # the ids are renumbered a block at a time
             loaded = load_network(path)
         assert loaded == net
-        assert loaded.cum.tobytes() == net.cum.tobytes()
 
     @pytest.mark.parametrize(
         "text",
@@ -755,7 +783,9 @@ class TestLoadColumns:
 
     def test_load_holds_no_more_than_the_network(self, big_network_file, monkeypatch):
         # from the parsed columns on, the load's traced peak is the network
-        # it returns plus block-sized scratch: no second full-length column
+        # it returns, the source column its row offsets are made from, and
+        # block- or row-sized scratch: no running sums, nor another
+        # full-length column
         net, path = big_network_file
         monkeypatch.setattr(netbuild, "_BLOCK_ENTRIES", 1 << 14)
         read_body = netbuild._read_body
@@ -766,15 +796,45 @@ class TestLoadColumns:
             return body
 
         monkeypatch.setattr(netbuild, "_read_body", peak_from_here)
-        tracemalloc.start()
-        try:
-            loaded = load_network(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = sum(a.nbytes for a in (loaded.indptr, loaded.indices, loaded.weights, loaded.cum))
-        assert loaded == net
-        assert peak <= held + 16 * netbuild._BLOCK_ENTRIES
+        loaded, peak = traced_peak(lambda: load_network(path))
+        held = sum(a.nbytes for a in (loaded.indptr, loaded.indices, loaded.weights))
+        assert loaded == net and loaded.normalized
+        assert peak <= held + 4 * loaded.edge_count + 16 * netbuild._BLOCK_ENTRIES
+
+
+def traced_peak(make):
+    """What ``make()`` returns, and the peak of the memory traced while it
+    ran."""
+    tracemalloc.start()
+    try:
+        out = make()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoFullLengthCum:
+    """Only walk tables hold ``cum``: a network build, ``normalize`` and
+    (above) the loader make none, nor any other full-length column past the
+    arrays they return."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(netbuild, "_BLOCK_ENTRIES", 1 << 14)
+
+    def test_normalized_build_holds_no_more_than_the_raw_build(self):
+        # normalizing in the build adds row-sized scratch for each total
+        repo = big_repository()
+        _, raw = traced_peak(lambda: build_cooccurrence(repo, "key"))
+        net, normalized = traced_peak(lambda: build_cooccurrence(repo, "key", normalized=True))
+        assert net.normalized and net.edge_count == 175_980
+        assert normalized <= raw + 8 * netbuild._BLOCK_ENTRIES
+
+    def test_normalize_holds_no_more_than_the_weights_it_makes(self):
+        raw = build_cooccurrence(big_repository(), "key")
+        net, peak = traced_peak(lambda: normalize(raw))
+        assert net.normalized and net.weights is not raw.weights
+        assert peak <= net.weights.nbytes + 8 * netbuild._BLOCK_ENTRIES
 
 
 def network_of(ids, edges):
@@ -1111,7 +1171,7 @@ def test_normalize_matches_two_pass_property(net):
     else:
         normed = normalize(net)
         assert normed.weights.tobytes() == weights.tobytes()
-        assert normed.cum.tobytes() == cum.tobytes()
+        assert netbuild._walk_tables(normed).cum.tobytes() == cum.tobytes()
         return
     with pytest.raises(ValueError, match=re.escape(message)):
         normalize(net)
@@ -1125,7 +1185,6 @@ def test_network_is_checked_once(monkeypatch):
     normed = normalize(raw)
     assert calls == [raw]
     assert normed.indices is raw.indices and not normed.weights.flags.writeable
-    assert not normed.cum.flags.writeable
 
 
 def full_walk_tables(repo, label):
@@ -1214,20 +1273,55 @@ class TestWalkTables:
             assert outcomes[0][0] is ValueError and outcomes[0][1].startswith(kinds)
 
 
-def test_walk_tables_make_no_full_weights_array():
-    # the full build's peak holds the weights of every edge; walk_tables
-    # holds one block's at most
-    repo = two_cluster_corpus(n_records=3000, seed=0)
+def test_walk_tables_make_no_full_weights_array(monkeypatch):
+    # walk_tables hold cum in place of the weights of every edge, which a
+    # raw build holds, and one block's weights at most
+    monkeypatch.setattr(netbuild, "_BLOCK_ENTRIES", 1 << 14)
+    repo = big_repository()
+    _, raw = traced_peak(lambda: build_cooccurrence(repo, "key"))
+    tables, walk = traced_peak(lambda: walk_tables(repo, "cokey"))
+    assert len(tables.cum) == 175_980
+    assert walk <= raw + 16 * netbuild._BLOCK_ENTRIES
 
-    def peak(build):
-        tracemalloc.start()
-        try:
-            build()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    edges = len(walk_tables(repo, "cokey").indices)
-    full = peak(lambda: build_cooccurrence(repo, "key", normalized=True))
-    walk = peak(lambda: walk_tables(repo, "cokey"))
-    assert full - walk >= 8 * (edges - netbuild._BLOCK_ENTRIES) > 0
+def scalar_running_sums(net):
+    """Each row's running sum of normalized ``net``'s weights by the scalar
+    loop ``acc += w``: the oracle for every maker of ``cum``."""
+    cum = []
+    for node in net.ids:
+        acc = 0.0
+        for _, w in net.out_edges(node):
+            acc += w
+            cum.append(acc)
+    return np.array(cum, dtype=np.float64)
+
+
+@BLOCK_ENTRIES
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("label, raw_build", [
+    ("cokey", lambda repo: build_cooccurrence(repo, "key")),
+    ("cite", lambda repo: build_occurrence(repo, "cite")),
+], ids=["cokey", "cite"])
+def test_every_maker_of_cum_agrees(tmp_path, block_entries, seed, label, raw_build):
+    # walk_tables, and the walk tables of a network built normalized (for
+    # cite, normalized by build_relation_network), of normalize of a raw
+    # one and of the saved file loaded back: one cum, byte for byte
+    repo = random_repository(60, vocab_size=10, cite_rate=0.1, seed=seed)
+    path = tmp_path / "net.tsv"
+    with blocks_of(block_entries):
+        raw = raw_build(repo)
+        save_network(normalize(raw), path)
+        makers = [
+            walk_tables(repo, label),
+            netbuild._walk_tables(build_relation_network(repo, label)),
+            netbuild._walk_tables(normalize(raw)),
+            netbuild._walk_tables(load_network(path)),
+        ]
+    expected = scalar_running_sums(normalize(raw))
+    assert raw.edge_count > 0 and len(expected) == raw.edge_count
+    for tables in makers:
+        assert (tables.ids, tables.mu) == (raw.ids, raw.relation.mu)
+        for column, theirs in zip((tables.indptr, tables.indices), (raw.indptr, raw.indices)):
+            assert column.dtype == theirs.dtype and column.tobytes() == theirs.tobytes()
+        assert tables.cum.dtype == np.float64 and tables.cum.tobytes() == expected.tobytes()
+        assert not tables.cum.flags.writeable

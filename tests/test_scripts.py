@@ -178,9 +178,10 @@ def test_bench_network_io_runs(capsys):
     # one save process then one load process per repeat
     report = _report("io", capsys)
     assert set(report) == {
-        "network", "python", "save_wall_s", "save_ru_maxrss_mib", "load_wall_s",
-        "load_ru_maxrss_mib", "file_sha256", "arrays_sha256",
+        "network", "python", "save_wall_s", "pre_save_ru_maxrss_mib", "save_ru_maxrss_mib",
+        "load_wall_s", "load_ru_maxrss_mib", "file_sha256", "arrays_sha256",
     }
+    assert all(a <= b for a, b in zip(report["pre_save_ru_maxrss_mib"], report["save_ru_maxrss_mib"]))
     assert report["network"]["records"] == 300 and report["network"]["edges"] > 0
     assert report["network"]["normalized"] is True and report["network"]["file_mib"] >= 0
 

@@ -15,6 +15,7 @@ from metaprop import swarm
 from metaprop.netbuild import (
     COOCCURRENCE,
     AssociativeNetwork,
+    _walk_tables,
     build_cooccurrence,
     build_occurrence,
     normalize,
@@ -62,7 +63,13 @@ def reference_propagate(net, repo, cfg):
         rngs.append(random.Random(derive_seed(cfg.seed, node)))
     store = RecommendationStore()
     keep = 1.0 - cfg.delta
-    indptr, indices, cum = memoryview(net.indptr), memoryview(net.indices), memoryview(net.cum)
+    indptr, indices = memoryview(net.indptr), memoryview(net.indices)
+    cum = []  # each row's running weight sum, which a particle bisects
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        acc = 0.0
+        for w in net.weights[lo:hi].tolist():
+            acc += w
+            cum.append(acc)
     at = list(range(len(ids)))
     live = list(range(len(ids)))
     energy = 1.0
@@ -638,9 +645,10 @@ def carrier_cases(draw):
 
 
 def walk_bytes(net, cfg, payload, carriers_only):
-    """Each property's deposit keys and totals as (dtype, shape, bytes), so
-    equal means equal in value and dtype, bit for bit."""
-    totals, _, _, _ = _walk(net, cfg, payload, carriers_only=carriers_only)
+    """Each property's deposit keys and totals, walked over normalized
+    ``net``'s walk tables, as (dtype, shape, bytes), so equal means equal in
+    value and dtype, bit for bit."""
+    totals, _, _, _ = _walk(_walk_tables(net), cfg, payload, carriers_only=carriers_only)
     return [[(a.dtype, a.shape, a.tobytes()) for a in arrays] for arrays in totals]
 
 
@@ -809,7 +817,9 @@ class TestClosedFormOracle:
         else:
             values = numbered_values(records, "tag")
             payload = [(np.tile(receiver, ORACLE_COPIES), values)]
-            ((keys, totals),), _, _, _ = _walk(normalize(net), cfg, payload, carriers_only=True)
+            ((keys, totals),), _, _, _ = _walk(
+                _walk_tables(normalize(net)), cfg, payload, carriers_only=True
+            )
             got.reshape(-1)[keys] = totals
 
         assert not got[:, ~cells].any(), "a deposit where the closed form expects none"
