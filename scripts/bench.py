@@ -11,8 +11,8 @@ that reads its own peak RSS (``ru_maxrss``).  ``ingest`` times
 that record file in another, which writes what it loaded back out, untimed,
 so that both processes report the digest of the same bytes.  ``build`` times
 the two builds the product runs, each with the peak after it:
-``build_cooccurrence(..., normalized=True)``, as ``build-network`` builds, in
-one process, and ``walk_tables``, as ``run_experiment`` builds, in another.
+``netbuild.build(repo, "cokey")``, which ``build-network`` runs, in one
+process, and ``walk_tables``, as ``run_experiment`` builds, in another.
 Both digest the walk's arrays (ids, ``indptr``, ``indices``, ``cum``), which
 must agree; the build's ``cum`` is summed by ``netbuild._walk_tables`` after
 its peak is read, as a network holds none.  ``io`` times ``save_network`` of
@@ -115,7 +115,7 @@ def _build_normalized(records: int) -> dict:
     from metaprop.synthetic import two_cluster_corpus
 
     repo = two_cluster_corpus(records, seed=0)
-    net, wall = _timed(netbuild.build_cooccurrence, repo, "key", normalized=True)
+    net, wall = _timed(netbuild.build, repo, "cokey")
     peak = _peak_mib()
     tables = netbuild._walk_tables(net)  # the walk's cum, which the network does not hold
     return {
@@ -140,10 +140,10 @@ def _walk_tables(records: int) -> dict:
 
 
 def _save(records: int) -> dict:
-    from metaprop.netbuild import build_cooccurrence, save_network
+    from metaprop.netbuild import build, save_network
     from metaprop.synthetic import two_cluster_corpus
 
-    net = build_cooccurrence(two_cluster_corpus(records, seed=0), "key", normalized=True)
+    net = build(two_cluster_corpus(records, seed=0), "cokey")
     pre_save = _peak_mib()  # so a save that raises the build's peak shows
     _, wall = _timed(save_network, net, NETWORK)
     return {

@@ -49,17 +49,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_build(args) -> int:
     repo = records.load_repository(args.repo)
-    relation = netbuild.relation_for(repo, args.relation)
-    normalized = not args.no_normalize  # co-occurrence: in the build, then normalize returns it
-    if relation.kind == netbuild.COOCCURRENCE:
-        net = netbuild.build_cooccurrence(repo, relation.mu, normalized=normalized)
-    else:
-        net = netbuild.build_occurrence(repo, relation.mu)
-    net = netbuild.require_edges(net)
-    if normalized:
-        net = netbuild.normalize(net)
+    net = netbuild.build(repo, args.relation, normalized=not args.no_normalize)
     # a co-occurrence network joins every pair both ways
-    pairs = net.edge_count // 2 if relation.kind == netbuild.COOCCURRENCE else net.pair_count
+    pairs = net.edge_count // 2 if net.relation.kind == netbuild.COOCCURRENCE else net.pair_count
     netbuild.save_network(net, args.output)
     print(
         f"relation={net.relation.label} nodes={len(net.ids)} "

@@ -5,8 +5,9 @@ over a (density x percentile) grid averaged across repeated runs.
 
 ``kill_meta``, ``swarm.propagate`` and ``accept_meta`` define what a grid job
 scores.  The grid builds each network's walk arrays directly, by
-``netbuild.walk_tables``, never a full co-occurrence network; ``build_relation_network``
-remains only for a traced grid that runs the jobs' definition step by step.
+``netbuild.walk_tables``, never a full co-occurrence network.  Only the
+tests, as an oracle for ``walk_tables``, and a traced grid that wraps this
+module's names call ``build_relation_network``.
 The job does the same work once per run: the target property's
 holders and values are numbered once per grid by ``netbuild.numbered_values``,
 atrophy is a mask over node numbers, one ``swarm._walk`` call carries only
@@ -389,7 +390,7 @@ def run_experiment(repo: Repository, cfg: ExperimentConfig, workers: int = 1) ->
                 done.append(outcome)
         if not done:
             continue
-        anomalous = networks[mu_y].mu == mu_x
+        anomalous = parse_relation(mu_y).mu == mu_x
         for rho in cfg.percentiles:
             prs, res, fs = zip(*(per_rho[rho] for per_rho, _ in done))
             rows.append(

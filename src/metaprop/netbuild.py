@@ -9,9 +9,10 @@ share property values, weighted by overlap:
 
 Outgoing weights can be normalized into per-node probability distributions
 for the particle walk, by ``normalize`` or, with the same floats, by
-``build_cooccurrence`` while it builds (``normalized=True``).  The walk reads
-only the structure and each row's running sums, ``cum``, which a network
-does not hold: ``WalkTables`` do.  ``_walk_tables`` sums them from a
+``build_cooccurrence`` while it builds (``normalized=True``); ``build``
+makes a relation label's network, as ``build-network`` writes it.  The walk
+reads only the structure and each row's running sums, ``cum``, which a
+network does not hold: ``WalkTables`` do.  ``_walk_tables`` sums them from a
 normalized network, and the evaluation grid builds just them, by
 ``walk_tables``: a co-occurrence network's weights are then made, checked
 and dropped one block of rows at a time.
@@ -471,17 +472,29 @@ def _cooccurrence(repo: Repository, mu: str, normalized: bool, keep_weights: boo
     return ids, indptr, indices, column
 
 
+def build(repo: Repository, label: str, normalized: bool = True) -> AssociativeNetwork:
+    """The network a relation label names, checked by ``relation_for`` and
+    ``require_edges``, and normalized unless ``normalized`` is false: in the
+    build for a co-occurrence network, which ``normalize`` then returns."""
+    relation = relation_for(repo, label)
+    if relation.kind == COOCCURRENCE:
+        net = build_cooccurrence(repo, relation.mu, normalized=normalized)
+    else:
+        net = build_occurrence(repo, relation.mu)
+    net = require_edges(net)
+    return normalize(net) if normalized else net
+
+
 class WalkTables(NamedTuple):
     """What a walk reads of a normalized network: its ids, ``indptr`` and
-    ``indices``, each row's running weight sums ``cum``, which the walk
-    bisects to sample a destination, and the relation's property.  These
-    are the only holders of ``cum``."""
+    ``indices``, and each row's running weight sums ``cum``, which the walk
+    bisects to sample a destination.  These are the only holders of
+    ``cum``."""
 
     ids: Tuple[str, ...]
     indptr: np.ndarray
     indices: np.ndarray
     cum: np.ndarray
-    mu: str
 
 
 def _walk_tables(net: AssociativeNetwork) -> WalkTables:
@@ -489,7 +502,7 @@ def _walk_tables(net: AssociativeNetwork) -> WalkTables:
     structure, and ``cum`` summed from its weights."""
     cum = _row_cumsum(net.indptr, net.weights)
     cum.flags.writeable = False
-    return WalkTables(net.ids, net.indptr, net.indices, cum, net.relation.mu)
+    return WalkTables(net.ids, net.indptr, net.indices, cum)
 
 
 def walk_tables(repo: Repository, label: str) -> WalkTables:
@@ -499,15 +512,15 @@ def walk_tables(repo: Repository, label: str) -> WalkTables:
     A co-occurrence network's weights are made one block of rows at a time
     and dropped once that block's ``cum`` is written and its edges checked,
     so no full-length weights array is ever made; the arrays and every
-    error are those of the full build.  An occurrence network is built,
-    normalized and then let go of its weights."""
+    error are those of the full build.  An occurrence network is made by
+    ``build`` and then let go of its weights."""
     relation = relation_for(repo, label)
     if relation.kind == OCCURRENCE:
-        return _walk_tables(normalize(require_edges(build_occurrence(repo, relation.mu))))
+        return _walk_tables(build(repo, label))
     ids, indptr, indices, cum = _cooccurrence(repo, relation.mu, normalized=True, keep_weights=False)
     for column in (indptr, indices, cum):
         column.flags.writeable = False
-    return WalkTables(tuple(ids), indptr, indices, cum, relation.mu)
+    return WalkTables(tuple(ids), indptr, indices, cum)
 
 
 def normalize(net: AssociativeNetwork) -> AssociativeNetwork:

@@ -3,8 +3,10 @@ import os
 
 import pytest
 
-from metaprop import evalharness, records, swarm
+from metaprop import evalharness, netbuild, records, swarm
 from metaprop.cli import _float_list, _propagation, build_parser, main
+
+from corpora import random_repository
 
 
 @pytest.fixture
@@ -150,6 +152,18 @@ class TestBuildNetwork:
             "no value of 'key' is the id of another resource\n"
         )
         assert not net.exists()
+
+    @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "raw"])
+    @pytest.mark.parametrize("label", ["cite", "cokey"])
+    def test_writes_the_network_netbuild_builds(self, tmp_path, label, normalized):
+        repo = random_repository(40, vocab_size=10, cite_rate=0.1, seed=0)
+        repo_file, net, expected = (tmp_path / name for name in ("repo.jsonl", "net.tsv", "x.tsv"))
+        records.save_repository(repo, repo_file)
+        raw = [] if normalized else ["--no-normalize"]
+        argv = ["build-network", str(repo_file), "--relation", label, "--output", str(net)]
+        assert main(argv + raw) == 0
+        netbuild.save_network(netbuild.build(repo, label, normalized), expected)
+        assert net.read_bytes() == expected.read_bytes()
 
 
 class TestPropagate:

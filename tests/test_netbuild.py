@@ -1192,6 +1192,11 @@ def full_walk_tables(repo, label):
     return netbuild._walk_tables(build_relation_network(repo, label))
 
 
+def built_walk_tables(repo, label):
+    """The walk tables of the network ``netbuild.build`` makes."""
+    return netbuild._walk_tables(netbuild.build(repo, label))
+
+
 def walk_outcome(build, repo, label):
     """What ``build`` gives for ``label``: the walk tables, their arrays as
     dtype and bytes, or the type and text of the error it raises."""
@@ -1201,7 +1206,7 @@ def walk_outcome(build, repo, label):
         return type(exc), str(exc)
     arrays = tables.indptr, tables.indices, tables.cum
     assert not any(column.flags.writeable for column in arrays)
-    return tables.ids, tables.mu, [(column.dtype, column.tobytes()) for column in arrays]
+    return tables.ids, [(column.dtype, column.tobytes()) for column in arrays]
 
 
 class TestWalkTables:
@@ -1225,8 +1230,9 @@ class TestWalkTables:
     ])
     def test_same_errors_as_the_full_build(self, label, cites, message):
         repo = Repository([make_record("a", {"cite": cites}), make_record("b", {})])
-        outcome = walk_outcome(walk_tables, repo, label)
-        assert outcome == walk_outcome(full_walk_tables, repo, label)
+        outcome = walk_outcome(full_walk_tables, repo, label)
+        for build in (walk_tables, built_walk_tables):
+            assert walk_outcome(build, repo, label) == outcome
         assert outcome[0] is RelationError and outcome[1].startswith(message)
 
     @settings(max_examples=100, deadline=None)
@@ -1304,8 +1310,9 @@ def scalar_running_sums(net):
 ], ids=["cokey", "cite"])
 def test_every_maker_of_cum_agrees(tmp_path, block_entries, seed, label, raw_build):
     # walk_tables, and the walk tables of a network built normalized (for
-    # cite, normalized by build_relation_network), of normalize of a raw
-    # one and of the saved file loaded back: one cum, byte for byte
+    # cite, normalized by build_relation_network and by netbuild.build), of
+    # normalize of a raw one and of the saved file loaded back: one cum,
+    # byte for byte
     repo = random_repository(60, vocab_size=10, cite_rate=0.1, seed=seed)
     path = tmp_path / "net.tsv"
     with blocks_of(block_entries):
@@ -1314,13 +1321,14 @@ def test_every_maker_of_cum_agrees(tmp_path, block_entries, seed, label, raw_bui
         makers = [
             walk_tables(repo, label),
             netbuild._walk_tables(build_relation_network(repo, label)),
+            built_walk_tables(repo, label),
             netbuild._walk_tables(normalize(raw)),
             netbuild._walk_tables(load_network(path)),
         ]
     expected = scalar_running_sums(normalize(raw))
     assert raw.edge_count > 0 and len(expected) == raw.edge_count
     for tables in makers:
-        assert (tables.ids, tables.mu) == (raw.ids, raw.relation.mu)
+        assert tables.ids == raw.ids
         for column, theirs in zip((tables.indptr, tables.indices), (raw.indptr, raw.indices)):
             assert column.dtype == theirs.dtype and column.tobytes() == theirs.tobytes()
         assert tables.cum.dtype == np.float64 and tables.cum.tobytes() == expected.tobytes()
